@@ -355,20 +355,14 @@ func (e *Engine) RangeCount(lo, hi int64) int { return e.sh.RangeCount(lo, hi) }
 // RangeSum sums the keys of live rows in [lo, hi] (Q3).
 func (e *Engine) RangeSum(lo, hi int64) int64 { return e.sh.RangeSum(lo, hi) }
 
-// Filter is a conjunctive range predicate on one payload column.
-type Filter struct {
-	Col    int
-	Lo, Hi int32
-}
+// Filter is a conjunctive range predicate on one payload column: a row
+// qualifies when Lo <= payload[Col] <= Hi.
+type Filter = table.PayloadFilter
 
 // MultiRangeSum runs a TPC-H-Q6-shaped query: key range plus payload
 // filters, summing payload column sumCol over qualifying rows.
 func (e *Engine) MultiRangeSum(lo, hi int64, filters []Filter, sumCol int) int64 {
-	fs := make([]table.PayloadFilter, len(filters))
-	for i, f := range filters {
-		fs[i] = table.PayloadFilter{Col: f.Col, Lo: f.Lo, Hi: f.Hi}
-	}
-	return e.sh.MultiRangeSum(lo, hi, fs, sumCol)
+	return e.sh.MultiRangeSum(lo, hi, filters, sumCol)
 }
 
 // Insert adds a row with the given key (Q4). On a durable engine a WAL
@@ -461,11 +455,7 @@ func (v *View) RangeSum(lo, hi int64) int64 { return v.v.RangeSum(lo, hi) }
 
 // MultiRangeSum is Engine.MultiRangeSum under the view's snapshot.
 func (v *View) MultiRangeSum(lo, hi int64, filters []Filter, sumCol int) int64 {
-	fs := make([]table.PayloadFilter, len(filters))
-	for i, f := range filters {
-		fs[i] = table.PayloadFilter{Col: f.Col, Lo: f.Lo, Hi: f.Hi}
-	}
-	return v.v.MultiRangeSum(lo, hi, fs, sumCol)
+	return v.v.MultiRangeSum(lo, hi, filters, sumCol)
 }
 
 // Payload is Engine.Payload under the view's snapshot.

@@ -9,7 +9,6 @@ import (
 
 	"casper/internal/replica"
 	"casper/internal/shard"
-	"casper/internal/table"
 )
 
 // ErrReadOnly is returned by every write method of a Follower: a follower's
@@ -54,17 +53,13 @@ func (f *Follower) PointQuery(key int64) int { return f.f.Engine().PointQuery(ke
 // RangeCount returns the number of rows with keys in [lo, hi].
 func (f *Follower) RangeCount(lo, hi int64) int { return f.f.Engine().RangeCount(lo, hi) }
 
-// RangeSum sums the first payload column over keys in [lo, hi].
+// RangeSum sums the keys of rows in [lo, hi] (Q3).
 func (f *Follower) RangeSum(lo, hi int64) int64 { return f.f.Engine().RangeSum(lo, hi) }
 
 // MultiRangeSum sums sumCol over keys in [lo, hi] whose payloads pass every
 // filter.
 func (f *Follower) MultiRangeSum(lo, hi int64, filters []Filter, sumCol int) int64 {
-	fs := make([]table.PayloadFilter, len(filters))
-	for i, f := range filters {
-		fs[i] = table.PayloadFilter{Col: f.Col, Lo: f.Lo, Hi: f.Hi}
-	}
-	return f.f.Engine().MultiRangeSum(lo, hi, fs, sumCol)
+	return f.f.Engine().MultiRangeSum(lo, hi, filters, sumCol)
 }
 
 // Payload returns one payload column of the row with the given key.

@@ -95,16 +95,16 @@
 // the routing snapshot is reloaded under the stripe (observing any install
 // that landed between batches) and the table pointer is re-checked under
 // shard.mu (restarting the chunk iterator at the resume key if a shadow
-// retrain swapped the table). Pinned-mode sources (View.Scan, and the
-// streamFold under every aggregate) must NOT touch stripes — their caller
-// already holds the covering stripes shared, and re-acquiring would
-// deadlock behind a queued writer — so they take only shard.mu per batch.
-// Aggregates therefore keep today's exactly-once visibility: lockSpan is
-// held for the entire fold, batching only the chunk-level locking.
-// Prefetch fills run on fan-out pool workers and acquire stripe/shard.mu
-// in the same order; a fill never blocks on its consumer (the batch
-// hand-off channel always has room), so pool saturation degrades to
-// inline fills, never deadlock.
+// retrain swapped the table). Pinned-mode sources (View.Scan) must NOT
+// touch stripes — their caller already holds the covering stripes shared,
+// and re-acquiring would deadlock behind a queued writer — so they take
+// only shard.mu per batch. Aggregates never stream: they hold lockSpan (or
+// a View's stripes) across one fanOut of the tables' native kernels, each
+// taking shard.mu then one chunk lock at a time, and add staged-move
+// compensation under the same pinned snapshot. Prefetch fills run on
+// fan-out pool workers and acquire stripe/shard.mu in the same order; a
+// fill never blocks on its consumer (the batch hand-off channel always has
+// room), so pool saturation degrades to inline fills, never deadlock.
 //
 // # Drift-triggered shard rebalancing
 //
@@ -1040,12 +1040,10 @@ func (e *Engine) pointQueryAt(v *routeSnap, key int64) int {
 	return n
 }
 
-// fanOut merges fn over shards [a, b], returning the sum. The merge runs on
+// fanOut merges fn over shards [a, b], returning the sum: the aggregate
+// read path, running each spanned table's native kernel. The merge runs on
 // the engine's worker pool when the runtime has CPUs to run it; on a
-// single-CPU runtime a sequential merge is strictly cheaper. The aggregate
-// read path now folds over streaming scans (streamFold); fanOut remains as
-// the materialized reference implementation the oracle-equivalence tests
-// compare against.
+// single-CPU runtime a sequential merge is strictly cheaper.
 func (e *Engine) fanOut(a, b int, fn func(*table.Table) int64) int64 {
 	if a == b {
 		var v int64
@@ -1078,10 +1076,13 @@ func (e *Engine) RangeCount(lo, hi int64) int {
 	return e.rangeCountAt(v, lo, hi)
 }
 
+// rangeCountAt, rangeSumAt and multiRangeSumAt serve an aggregate under a
+// pinned snapshot (caller holds the stripes covering the span): the spanned
+// tables' native aggregates, plus every staged move whose row is still
+// visible at its old key in range.
 func (e *Engine) rangeCountAt(v *routeSnap, lo, hi int64) int {
-	n := int(e.streamFold(v, lo, hi, false, func(keys []int64, _ [][]int32) (int64, bool) {
-		return int64(len(keys)), false
-	}))
+	a, b := v.part.Span(lo, hi)
+	n := int(e.fanOut(a, b, func(t *table.Table) int64 { return int64(t.RangeCount(lo, hi)) }))
 	hits := 0
 	v.moves.forRange(lo, hi, func(*pendingMove) { n++; hits++ })
 	e.compHit(int(lo), hits)
@@ -1104,13 +1105,8 @@ func (e *Engine) RangeSum(lo, hi int64) int64 {
 }
 
 func (e *Engine) rangeSumAt(v *routeSnap, lo, hi int64) int64 {
-	sum := e.streamFold(v, lo, hi, false, func(keys []int64, _ [][]int32) (int64, bool) {
-		var s int64
-		for _, k := range keys {
-			s += k
-		}
-		return s, false
-	})
+	a, b := v.part.Span(lo, hi)
+	sum := e.fanOut(a, b, func(t *table.Table) int64 { return t.RangeSum(lo, hi) })
 	hits := 0
 	v.moves.forRange(lo, hi, func(m *pendingMove) { sum += m.old; hits++ })
 	e.compHit(int(lo), hits)
@@ -1133,19 +1129,8 @@ func (e *Engine) MultiRangeSum(lo, hi int64, filters []table.PayloadFilter, sumC
 }
 
 func (e *Engine) multiRangeSumAt(v *routeSnap, lo, hi int64, filters []table.PayloadFilter, sumCol int) int64 {
-	sum := e.streamFold(v, lo, hi, true, func(_ []int64, rows [][]int32) (int64, bool) {
-		var s int64
-	rowLoop:
-		for _, row := range rows {
-			for _, f := range filters {
-				if x := row[f.Col]; x < f.Lo || x > f.Hi {
-					continue rowLoop
-				}
-			}
-			s += int64(row[sumCol])
-		}
-		return s, false
-	})
+	a, b := v.part.Span(lo, hi)
+	sum := e.fanOut(a, b, func(t *table.Table) int64 { return t.MultiRangeSum(lo, hi, filters, sumCol) })
 	hits := 0
 	v.moves.forRange(lo, hi, func(m *pendingMove) {
 		hits++

@@ -1,9 +1,10 @@
 // Streaming read path: per-shard chunk-bounded scans feeding a k-way
-// loser-tree merge, consumed either through a Cursor (paginated, LIMIT,
-// resumable) or folded into an aggregate. See the package comment's
-// lock-order section for the scan locking contract; the short version is
-// that a streaming scan holds its gate stripe and shard lock only while
-// filling one batch, never across consumer yields.
+// loser-tree merge, consumed through a Cursor (paginated, LIMIT,
+// resumable). Aggregates do not stream; they fan out to the tables' native
+// kernels (shard.go). See the package comment's lock-order section for the
+// scan locking contract; the short version is that a streaming scan holds
+// its gate stripe and shard lock only while filling one batch, never across
+// consumer yields.
 package shard
 
 import (
@@ -31,9 +32,8 @@ type sourceBuf struct {
 // ascending, batch by batch. Two modes:
 //
 //   - pinned (pinned != nil): the caller holds the gate stripes covering
-//     this shard (a View, or an aggregate's lockSpan) and the snapshot is
-//     frozen — fill touches no stripe and compensates from the pinned
-//     snapshot's move index.
+//     this shard (a View) and the snapshot is frozen — fill touches no
+//     stripe and compensates from the pinned snapshot's move index.
 //   - cursor (pinned == nil): fill acquires this shard's gate stripe shared
 //     for the duration of one batch only, releasing it before the consumer
 //     sees the rows, and adopts the routing snapshot current at each fill —
@@ -44,23 +44,21 @@ type sourceBuf struct {
 // staged-move compensation window (cursor, upTo] tiles the scanned range
 // exactly once per snapshot.
 type shardSource struct {
-	e          *Engine
-	si         int
-	hi         int64
-	cursor     int64
-	pinned     *routeSnap
-	withRows   bool
-	compensate bool
-	batch      int
+	e      *Engine
+	si     int
+	hi     int64
+	cursor int64
+	pinned *routeSnap
+	batch  int
 
 	it      *table.ScanIter
 	tbl     *table.Table
 	srcDone bool
 
-	// Read-ahead state (cursor consumers only): two batch buffers cycled
-	// through a capacity-1 channel. Exactly one fill is outstanding at a
-	// time, so fills are serialized and the channel hand-off provides the
-	// happens-before edge for the buffer contents.
+	// Read-ahead state: two batch buffers cycled through a capacity-1
+	// channel. Exactly one fill is outstanding at a time, so fills are
+	// serialized and the channel hand-off provides the happens-before edge
+	// for the buffer contents.
 	bufs    [2]sourceBuf
 	pre     chan *sourceBuf
 	pending bool
@@ -73,8 +71,7 @@ type shardSource struct {
 }
 
 // fill produces the next batch into b. At most one fill per source runs at
-// a time (prefetch serializes through the hand-off channel; folds call it
-// directly from one goroutine).
+// a time: prefetch serializes through the hand-off channel.
 func (s *shardSource) fill(b *sourceBuf) {
 	b.keys, b.rows, b.done = nil, nil, false
 	if s.srcDone {
@@ -100,11 +97,7 @@ func (s *shardSource) fill(b *sourceBuf) {
 			if s.it != nil {
 				s.it.Close()
 			}
-			if s.withRows {
-				s.it = t.ScanRange(s.cursor, s.hi)
-			} else {
-				s.it = t.ScanRangeKeys(s.cursor, s.hi)
-			}
+			s.it = t.ScanRange(s.cursor, s.hi)
 			s.tbl = t
 		}
 		tableDone = !s.it.NextBatch(&b.rb, s.batch)
@@ -115,27 +108,22 @@ func (s *shardSource) fill(b *sourceBuf) {
 		upTo = b.rb.Keys[len(b.rb.Keys)-1]
 	}
 	s.moveK, s.moveR = s.moveK[:0], s.moveR[:0]
-	if s.compensate {
-		// Staged moves whose rows are still visible at their old key on
-		// this shard, within this batch's window. Entries are claimed by
-		// the snapshot's own routing so that, under a pinned snapshot,
-		// every staged row lands in exactly one source's window.
-		v.moves.forRange(s.cursor, upTo, func(m *pendingMove) {
-			if v.part.Shard(m.old) == s.si {
-				s.moveK = append(s.moveK, m.old)
-				if s.withRows {
-					s.moveR = append(s.moveR, m.row)
-				}
-			}
-		})
-	}
-	// Metrics: a batch yielded toward a cursor consumer (prefetch armed ⇔
-	// s.pre non-nil; folds fill inline and are counted by their own op) and
-	// any staged-move rows compensated into the batch window. Recording here
-	// is atomics-only and, in cursor mode, runs under the shared gate stripe
-	// — both allowed by the lock-order contract.
+	// Staged moves whose rows are still visible at their old key on this
+	// shard, within this batch's window. Entries are claimed by the
+	// snapshot's own routing so that, under a pinned snapshot, every staged
+	// row lands in exactly one source's window.
+	v.moves.forRange(s.cursor, upTo, func(m *pendingMove) {
+		if v.part.Shard(m.old) == s.si {
+			s.moveK = append(s.moveK, m.old)
+			s.moveR = append(s.moveR, m.row)
+		}
+	})
+	// Metrics: a non-empty batch yielded toward the cursor and any
+	// staged-move rows compensated into the batch window. Recording here is
+	// atomics-only and, in cursor mode, runs under the shared gate stripe —
+	// both allowed by the lock-order contract.
 	if o := s.e.obs; o.Enabled() {
-		if s.pre != nil && len(b.rb.Keys)+len(s.moveK) > 0 {
+		if len(b.rb.Keys)+len(s.moveK) > 0 {
 			o.CursorBatches.Inc(s.si)
 		}
 		if len(s.moveK) > 0 {
@@ -154,15 +142,11 @@ func (s *shardSource) fill(b *sourceBuf) {
 		for i < len(pk) || j < len(s.moveK) {
 			if j >= len(s.moveK) || (i < len(pk) && pk[i] <= s.moveK[j]) {
 				b.mk = append(b.mk, pk[i])
-				if s.withRows {
-					b.mr = append(b.mr, b.rb.Rows[i])
-				}
+				b.mr = append(b.mr, b.rb.Rows[i])
 				i++
 			} else {
 				b.mk = append(b.mk, s.moveK[j])
-				if s.withRows {
-					b.mr = append(b.mr, s.moveR[j])
-				}
+				b.mr = append(b.mr, s.moveR[j])
 				j++
 			}
 		}
@@ -202,11 +186,7 @@ func (s *shardSource) next() (int64, []int32, bool) {
 	for {
 		if s.cur != nil {
 			if s.curI < len(s.cur.keys) {
-				k := s.cur.keys[s.curI]
-				var r []int32
-				if s.withRows {
-					r = s.cur.rows[s.curI]
-				}
+				k, r := s.cur.keys[s.curI], s.cur.rows[s.curI]
 				s.curI++
 				return k, r, true
 			}
@@ -356,54 +336,6 @@ func (m *mergeIter) next() (int64, []int32, bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming aggregates
-// ---------------------------------------------------------------------------
-
-// streamFold drains a pinned streaming scan of [lo, hi] over every spanned
-// shard in parallel (one drain per fan-out worker) and sums the fold
-// results. fn receives each batch's keys (and rows when withRows) and
-// returns its contribution plus a stop flag; stop ends that shard's drain
-// early — the early-exit path of LIMIT-shaped folds — without affecting the
-// other shards. fn runs concurrently across shards and must be pure.
-//
-// The caller holds gate stripes covering the span of v (lockSpan or a
-// View), so the snapshot is frozen for the whole fold; staged-move
-// compensation stays with the caller, exactly as with the materialized
-// fan-out this replaces.
-func (e *Engine) streamFold(v *routeSnap, lo, hi int64, withRows bool, fn func(keys []int64, rows [][]int32) (int64, bool)) int64 {
-	a, b := v.part.Span(lo, hi)
-	parts := make([]int64, b-a+1)
-	e.pool.run(len(parts), func(i int) {
-		src := &shardSource{
-			e: e, si: a + i, hi: hi, cursor: lo,
-			pinned: v, withRows: withRows, batch: table.DefaultScanBatch,
-		}
-		defer src.close()
-		var buf sourceBuf
-		var acc int64
-		for {
-			src.fill(&buf)
-			if len(buf.keys) > 0 {
-				d, stop := fn(buf.keys, buf.rows)
-				acc += d
-				if stop {
-					break
-				}
-			}
-			if buf.done {
-				break
-			}
-		}
-		parts[i] = acc
-	})
-	var sum int64
-	for _, p := range parts {
-		sum += p
-	}
-	return sum
-}
-
-// ---------------------------------------------------------------------------
 // Cursors
 // ---------------------------------------------------------------------------
 
@@ -532,7 +464,7 @@ func (c *Cursor) open(lo int64, skip int) {
 	for si := a; si <= b; si++ {
 		s := &shardSource{
 			e: c.e, si: si, hi: c.hi, cursor: lo,
-			pinned: c.pinned, withRows: true, compensate: true, batch: batch,
+			pinned: c.pinned, batch: batch,
 		}
 		s.start()
 		c.srcs = append(c.srcs, s)

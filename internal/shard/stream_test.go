@@ -1,10 +1,11 @@
 package shard
 
-// Streaming read-path suite: oracle equivalence of the stream folds and
-// cursors against the materialized fan-out baseline (quiescent and under
-// concurrent cross-shard moves and rebalance installs), cursor pagination
-// semantics (LIMIT, page tokens, SeekTo), the loser-tree merge, and the
-// drift-monitor attribution of Q8 scans.
+// Streaming read-path suite: oracle equivalence of cursor drains and
+// aggregates against the fan-out of the tables' native kernels and against
+// each other (quiescent and under concurrent cross-shard moves and
+// rebalance installs), cursor pagination semantics (LIMIT, page tokens,
+// SeekTo), the loser-tree merge, and the drift-monitor attribution of Q8
+// scans.
 
 import (
 	"encoding/binary"
@@ -12,7 +13,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -229,6 +229,129 @@ func TestStreamOracleViewPinned(t *testing.T) {
 	wg.Wait()
 }
 
+// TestAggregatesMatchCursorDrain is the aggregates' independent oracle:
+// inside one View, RangeCount, RangeSum and MultiRangeSum (two payload
+// filters, a non-zero sum column) must equal a brute-force fold over the
+// rows View.Scan drains — on both partitioning schemes, over duplicate
+// keys with distinct payloads, empty and inverted ranges, while movers
+// ping-pong rows across shards and (range partitioning) a rebalancer
+// alternates boundary installs, so staged-move compensation is exercised.
+func TestAggregatesMatchCursorDrain(t *testing.T) {
+	filters := []table.PayloadFilter{{Col: 1, Lo: 5, Hi: math.MaxInt32}, {Col: 3, Lo: math.MinInt32, Hi: 6_000}}
+	const sumCol = 2
+	ranges := [][2]int64{
+		{math.MinInt64, math.MaxInt64}, {500, 1_010_000}, {0, 4_000}, {1_400, 1_600},
+		{1_500, 1_500}, {4, 5}, {100, 50},
+	}
+	for _, byRange := range []bool{false, true} {
+		e, _ := streamTestEngine(t, 3_000, 4, byRange)
+		// A duplicate run whose rows carry distinct payloads: fresh inserts
+		// plus rows moved in from other keys.
+		for i := 0; i < 30; i++ {
+			e.Insert(1_500)
+		}
+		for _, k := range []int64{30, 5_001, 8_997} {
+			if err := e.UpdateKey(k, 1_500); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			// The pairs of TestStreamOracleViewPinned (one key above every
+			// range bound, one at the bottom; both absent from the seeded
+			// multiples of 3), with the low key stepped until it hashes to
+			// another shard. Mover 0's row carries the high key's payload,
+			// which the filters reject; mover 1's the low key's, which they
+			// accept.
+			a, b := int64(1_000_001+w*10_000), int64(6*w+1)
+			for sh := e.Partitioner(); sh.Shard(a) == sh.Shard(b); b += 6 {
+				if byRange || b > 5_000 {
+					t.Fatalf("no cross-shard partner for %d", a)
+				}
+			}
+			if w == 1 {
+				a, b = b, a
+			}
+			e.Insert(a)
+			wg.Add(1)
+			go func(a, b int64) {
+				defer wg.Done()
+				cur, alt := a, b
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := e.UpdateKey(cur, alt); err == nil {
+						cur, alt = alt, cur
+					}
+				}
+			}(a, b)
+		}
+		if byRange {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				flip := false
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if flip {
+						_, _ = e.Rebalance()
+					} else {
+						_, _ = e.RebalanceWith(RebalanceQuantile)
+					}
+					flip = !flip
+					time.Sleep(time.Millisecond)
+				}
+			}()
+		}
+
+		deadline := time.Now().Add(300 * time.Millisecond)
+		for round := 0; round == 0 || time.Now().Before(deadline); round++ {
+			e.View(func(v *View) {
+				for _, r := range ranges {
+					lo, hi := r[0], r[1]
+					c := v.Scan(lo, hi, ScanOptions{Batch: 128})
+					keys, rows := drainCursor(t, c)
+					c.Close()
+					var sum, multi int64
+				rowLoop:
+					for i, k := range keys {
+						sum += k
+						for _, f := range filters {
+							if x := rows[i][f.Col]; x < f.Lo || x > f.Hi {
+								continue rowLoop
+							}
+						}
+						multi += int64(rows[i][sumCol])
+					}
+					if got := v.RangeCount(lo, hi); got != len(keys) {
+						t.Errorf("byRange=%v [%d,%d]: RangeCount=%d, drain has %d rows", byRange, lo, hi, got, len(keys))
+					}
+					if got := v.RangeSum(lo, hi); got != sum {
+						t.Errorf("byRange=%v [%d,%d]: RangeSum=%d, drain sums to %d", byRange, lo, hi, got, sum)
+					}
+					if got := v.MultiRangeSum(lo, hi, filters, sumCol); got != multi {
+						t.Errorf("byRange=%v [%d,%d]: MultiRangeSum=%d, drain folds to %d", byRange, lo, hi, got, multi)
+					}
+				}
+			})
+			if t.Failed() {
+				break
+			}
+		}
+		close(stop)
+		wg.Wait()
+	}
+}
+
 // TestCursorPagingUnderMovers races Engine cursors (loose mode) against
 // ping-ponging cross-shard movers: every page must stay ascending and
 // in-range, stable keys (never touched by a mover) must each appear
@@ -372,26 +495,6 @@ func TestCursorLimitSeekAndTokens(t *testing.T) {
 		t.Fatal("bad page token produced no error")
 	}
 	c.Close()
-}
-
-// TestStreamFoldEarlyExit pins the early-exit path: a fold that stops after
-// its first batch visits at most one batch per shard.
-func TestStreamFoldEarlyExit(t *testing.T) {
-	e, _ := streamTestEngine(t, 4_000, 4, false)
-	var batches atomic.Int64
-	e.rlockAll()
-	v := e.loadRoute()
-	got := e.streamFold(v, math.MinInt64, math.MaxInt64, false, func(keys []int64, _ [][]int32) (int64, bool) {
-		batches.Add(1)
-		return int64(len(keys)), true
-	})
-	e.runlockAll()
-	if b := batches.Load(); b > int64(len(e.shards)) {
-		t.Fatalf("early-exit fold ran %d batches across %d shards", b, len(e.shards))
-	}
-	if got <= 0 || got > int64(len(e.shards))*int64(table.DefaultScanBatch) {
-		t.Fatalf("early-exit fold folded %d rows, want within one batch per shard", got)
-	}
 }
 
 // TestScanMonitorAttribution checks a cursor scan records itself in the

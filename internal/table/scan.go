@@ -1,8 +1,9 @@
 // Chunk-bounded scan iteration: the lazy read path under every range
-// consumer in the engine. A ScanIter walks the chunks overlapping [lo, hi]
-// one at a time, materializing at most one chunk's qualifying positions plus
-// one caller batch — never the whole result — so memory and first-row
-// latency are bounded by the chunk and batch sizes, not the result size.
+// reader that consumes rows (aggregates use the chunk kernels in table.go
+// instead). A ScanIter walks the chunks overlapping [lo, hi] one at a time,
+// materializing at most one chunk's qualifying positions plus one caller
+// batch — never the whole result — so memory and first-row latency are
+// bounded by the chunk and batch sizes, not the result size.
 package table
 
 import (
@@ -12,7 +13,7 @@ import (
 
 // DefaultScanBatch is the batch row count used when a caller passes max <= 0
 // to NextBatch, and the batch size of the package's own scan-based readers
-// (Snapshot, Keys, KeysInRange, MultiRangeSum).
+// (Snapshot, Keys, KeysInRange).
 const DefaultScanBatch = 1024
 
 // RowBuf is a reusable scan batch: parallel Keys/Rows slices backed by a

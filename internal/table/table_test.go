@@ -1,6 +1,7 @@
 package table
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -604,6 +605,98 @@ func TestKeysInRangeMatchesKeys(t *testing.T) {
 		}
 		if got := tb.KeysInRange(10, 5); got != nil {
 			t.Fatalf("%v: reversed range returned %v, want nil", mode, got)
+		}
+	}
+}
+
+// scanMultiRangeSum is the row-materializing reference for MultiRangeSum:
+// it drains ScanRange and folds the filters over each copied row.
+func scanMultiRangeSum(tb *Table, lo, hi int64, filters []PayloadFilter, sumCol int) int64 {
+	it := tb.ScanRange(lo, hi)
+	defer it.Close()
+	var buf RowBuf
+	var sum int64
+	for it.NextBatch(&buf, 0) {
+	rowLoop:
+		for _, row := range buf.Rows {
+			for _, f := range filters {
+				if x := row[f.Col]; x < f.Lo || x > f.Hi {
+					continue rowLoop
+				}
+			}
+			sum += int64(row[sumCol])
+		}
+	}
+	return sum
+}
+
+// TestMultiRangeSumMatchesScanRange checks the columnar MultiRangeSum
+// kernel against the ScanRange reference in every layout mode, after
+// interleaved inserts, deletes and key updates (duplicate keys with
+// distinct payloads, ranges crossing chunk boundaries), and pins that
+// empty or non-qualifying ranges never touch out-of-range columns.
+func TestMultiRangeSumMatchesScanRange(t *testing.T) {
+	keys := make([]int64, 3_000)
+	for i := range keys {
+		keys[i] = int64(i) * 4
+	}
+	gen := func(key int64, col int) int32 { return int32((key*7 + int64(col)*13) % 101) }
+	filters := []PayloadFilter{{Col: 1, Lo: 10, Hi: 80}, {Col: 3, Lo: -5, Hi: 60}}
+	for _, mode := range Modes() {
+		cfg := testConfig(mode)
+		cfg.ChunkValues = 400
+		tb, err := New(keys, cfg, gen)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if tb.Chunks() < 4 {
+			t.Fatalf("%v: %d chunks, want several", mode, tb.Chunks())
+		}
+		rng := rand.New(rand.NewSource(int64(mode) + 5))
+		for i := 0; i < 2_000; i++ {
+			k := int64(rng.Intn(12_000))
+			switch rng.Intn(4) {
+			case 0:
+				tb.Insert(k)
+			case 1:
+				_ = tb.Delete(k)
+			case 2:
+				_ = tb.UpdateKey(k, int64(rng.Intn(12_000)))
+			default:
+				tb.Insert(6_000) // one long duplicate run
+			}
+		}
+		for q := 0; q < 300; q++ {
+			lo := int64(rng.Intn(12_400)) - 200
+			hi := lo + int64(rng.Intn(3_000))
+			for _, sumCol := range []int{0, 2} {
+				want := scanMultiRangeSum(tb, lo, hi, filters, sumCol)
+				if got := tb.MultiRangeSum(lo, hi, filters, sumCol); got != want {
+					t.Fatalf("%v: MultiRangeSum(%d, %d, sumCol %d) = %d, want %d", mode, lo, hi, sumCol, got, want)
+				}
+			}
+			want := scanMultiRangeSum(tb, lo, hi, nil, 1)
+			if got := tb.MultiRangeSum(lo, hi, nil, 1); got != want {
+				t.Fatalf("%v: unfiltered MultiRangeSum(%d, %d) = %d, want %d", mode, lo, hi, got, want)
+			}
+		}
+		if got := tb.MultiRangeSum(-1_000, math.MaxInt64, nil, 0); got != scanMultiRangeSum(tb, -1_000, math.MaxInt64, nil, 0) {
+			t.Fatalf("%v: full-range MultiRangeSum = %d", mode, got)
+		}
+
+		// Empty ranges (keys are multiples of 4 or inserted below 12,000),
+		// hi < lo, and a filter no row passes: 0, and no column beyond
+		// PayloadCols is read.
+		bad := cfg.PayloadCols + 3
+		badFilters := []PayloadFilter{{Col: bad, Lo: 0, Hi: 0}}
+		for _, r := range [][2]int64{{20_001, 20_003}, {-50, -1}, {500, 100}} {
+			if got := tb.MultiRangeSum(r[0], r[1], badFilters, bad); got != 0 {
+				t.Fatalf("%v: MultiRangeSum over empty [%d, %d] = %d", mode, r[0], r[1], got)
+			}
+		}
+		never := []PayloadFilter{{Col: 0, Lo: 1, Hi: 0}, {Col: bad, Lo: 0, Hi: 0}}
+		if got := tb.MultiRangeSum(0, 12_000, never, bad); got != 0 {
+			t.Fatalf("%v: MultiRangeSum with no qualifying row = %d", mode, got)
 		}
 	}
 }
