@@ -153,7 +153,8 @@ func BenchmarkShardedThroughput(b *testing.B) {
 					i := int(next.Add(1)) * 7919
 					var sink int64
 					for pb.Next() {
-						sink += e.Execute(ops[i%len(ops)])
+						n, _ := e.Execute(ops[i%len(ops)])
+						sink += n
 						i++
 					}
 					_ = sink
@@ -318,7 +319,9 @@ func Example() {
 	if err := eng.Train(sample, 1); err != nil {
 		panic(err)
 	}
-	eng.Insert(555)
+	if err := eng.Insert(555); err != nil {
+		panic(err)
+	}
 	fmt.Println(eng.PointQuery(555) >= 1)
 	// Output: true
 }

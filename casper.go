@@ -17,7 +17,7 @@
 //	sample, _ := casper.PresetWorkload(casper.HybridSkewed, keys, 10_000_000, 10_000, 1)
 //	_ = eng.Train(sample, runtime.NumCPU())
 //	n := eng.PointQuery(12345)          // scans one partition
-//	eng.Insert(777)                      // absorbed by a ghost slot
+//	_ = eng.Insert(777)                  // absorbed by a ghost slot
 //
 // # Architecture: sharding & background retraining
 //
@@ -28,7 +28,7 @@
 // behavior exactly. Point queries route to the owning shard; range reads fan
 // out across the spanned shards on parallel goroutines and merge their
 // results; ApplyBatch groups a write batch by shard and applies the groups
-// concurrently (ApplyBatchAsync does so off the caller's goroutine).
+// concurrently.
 //
 // StartAutoRetrain launches a background worker implementing the paper's
 // online arc (Fig. 10): every operation feeds a per-shard access histogram,
@@ -75,54 +75,32 @@ import (
 )
 
 // Mode selects the column layout strategy (§7 of the paper).
-type Mode int
+type Mode = table.Mode
 
 const (
 	// ModeNoOrder stores the column in insertion order (vanilla
 	// column-store baseline).
-	ModeNoOrder Mode = iota
+	ModeNoOrder = table.NoOrder
 	// ModeSorted keeps the key column fully sorted.
-	ModeSorted
+	ModeSorted = table.Sorted
 	// ModeStateOfArt is a sorted column with a global delta store — the
 	// paper's state-of-the-art comparison point.
-	ModeStateOfArt
+	ModeStateOfArt = table.StateOfArt
 	// ModeEqui uses equi-width range partitioning.
-	ModeEqui
+	ModeEqui = table.Equi
 	// ModeEquiGV adds evenly distributed ghost values to ModeEqui.
-	ModeEquiGV
+	ModeEquiGV = table.EquiGV
 	// ModeCasper uses the workload-optimized layout (call Train).
-	ModeCasper
+	ModeCasper = table.Casper
 )
 
-// String implements fmt.Stringer.
-func (m Mode) String() string { return tableMode(m).String() }
-
 // AllModes lists every layout mode in the paper's comparison order.
-func AllModes() []Mode {
-	return []Mode{ModeCasper, ModeEquiGV, ModeEqui, ModeStateOfArt, ModeSorted, ModeNoOrder}
-}
-
-func tableMode(m Mode) table.Mode {
-	switch m {
-	case ModeNoOrder:
-		return table.NoOrder
-	case ModeSorted:
-		return table.Sorted
-	case ModeStateOfArt:
-		return table.StateOfArt
-	case ModeEqui:
-		return table.Equi
-	case ModeEquiGV:
-		return table.EquiGV
-	case ModeCasper:
-		return table.Casper
-	}
-	panic(fmt.Sprintf("casper: unknown mode %d", int(m)))
-}
+var AllModes = table.Modes
 
 // Options configures Open.
 type Options struct {
-	// Mode is the layout strategy (default ModeCasper).
+	// Mode is the layout strategy (the zero value is ModeNoOrder); Open
+	// rejects an unknown mode.
 	Mode Mode
 	// PayloadCols is the number of payload columns beside the key
 	// (default 15, matching the paper's 16-column narrow table).
@@ -226,9 +204,6 @@ type Engine struct {
 	mode   Mode
 	mgr    *txn.Manager
 
-	monMu sync.Mutex
-	mon   *Monitor
-
 	// obsOnce latches metric collection on: the first Metrics (or
 	// EnableMetrics) call enables the registry permanently, so an engine
 	// nobody inspects pays only one atomic load per operation.
@@ -308,7 +283,7 @@ func shardConfig(opts Options) (shard.Config, iomodel.CostParams, *txn.Oracle, e
 		SyncEvery: opts.SyncEvery,
 		Admission: opts.Admission,
 		Table: table.Config{
-			Mode:           tableMode(opts.Mode),
+			Mode:           opts.Mode,
 			PayloadCols:    payloadCols,
 			ChunkValues:    opts.ChunkValues,
 			GhostFrac:      ghostFrac,
@@ -343,7 +318,7 @@ func (e *Engine) CostParams() string { return e.params.String() }
 // Models, solves the layout optimization (parallel across chunks), and
 // applies the layouts with Eq. 18 ghost allocation.
 func (e *Engine) Train(sample []Op, parallelism int) error {
-	return e.sh.Train(toWorkloadOps(sample), parallelism)
+	return e.sh.Train(sample, parallelism)
 }
 
 // PointQuery returns the number of live rows with the given key (Q1).
@@ -365,10 +340,10 @@ func (e *Engine) MultiRangeSum(lo, hi int64, filters []Filter, sumCol int) int64
 	return e.sh.MultiRangeSum(lo, hi, filters, sumCol)
 }
 
-// Insert adds a row with the given key (Q4). On a durable engine a WAL
-// failure cannot be reported here (no error return); it is sticky and
-// surfaces on the next erroring write, SyncWAL, Checkpoint, or Close.
-func (e *Engine) Insert(key int64) { e.sh.Insert(key) }
+// Insert adds a row with the given key (Q4). Under admission control it may
+// return ErrOverload without having been applied; on a durable engine a
+// failed WAL append returns its error.
+func (e *Engine) Insert(key int64) error { return e.sh.Insert(key) }
 
 // Delete removes one row with the given key (Q5).
 func (e *Engine) Delete(key int64) error { return e.sh.Delete(key) }
@@ -383,8 +358,7 @@ func (e *Engine) UpdateKey(old, new int64) error { return e.sh.UpdateKey(old, ne
 // Writer is a tenant-scoped write handle: writes submitted through it pass
 // admission control (Options.Admission) on that tenant's fairness lane and
 // may return ErrOverload per the policy. On an engine without admission
-// control it behaves like the plain write methods, with Insert additionally
-// returning the write path's error.
+// control it behaves like the plain write methods.
 type Writer = shard.Writer
 
 // Writer returns a write handle bound to the given tenant lane.
@@ -426,10 +400,8 @@ func (e *Engine) PendingMoves() []PendingMove { return e.sh.PendingMoves() }
 // queries and depend only on move atomicity therefore hold exactly. It is
 // not a full snapshot: single-shard writes (Insert, Delete, same-shard
 // UpdateKey) do not pass through the move gate and may land between the
-// view's queries.
-type View struct {
-	v *shard.View
-}
+// view's queries. Its Scan cursor is only valid inside the callback.
+type View = shard.View
 
 // View runs fn over a move-stable read handle pinned at the current epoch
 // and routing snapshot. Queries inside fn must go through the View's
@@ -437,39 +409,7 @@ type View struct {
 // queued cross-shard move. Individual engine queries are already
 // snapshot-stable on their own — View is only needed when one invariant
 // spans several calls.
-func (e *Engine) View(fn func(*View)) {
-	e.sh.View(func(v *shard.View) { fn(&View{v: v}) })
-}
-
-// Epoch returns the epoch the view is pinned at.
-func (v *View) Epoch() uint64 { return v.v.Epoch() }
-
-// PointQuery is Engine.PointQuery under the view's snapshot.
-func (v *View) PointQuery(key int64) int { return v.v.PointQuery(key) }
-
-// RangeCount is Engine.RangeCount under the view's snapshot.
-func (v *View) RangeCount(lo, hi int64) int { return v.v.RangeCount(lo, hi) }
-
-// RangeSum is Engine.RangeSum under the view's snapshot.
-func (v *View) RangeSum(lo, hi int64) int64 { return v.v.RangeSum(lo, hi) }
-
-// MultiRangeSum is Engine.MultiRangeSum under the view's snapshot.
-func (v *View) MultiRangeSum(lo, hi int64, filters []Filter, sumCol int) int64 {
-	return v.v.MultiRangeSum(lo, hi, filters, sumCol)
-}
-
-// Payload is Engine.Payload under the view's snapshot.
-func (v *View) Payload(key int64, col int) (int32, bool) { return v.v.Payload(key, col) }
-
-// Len is Engine.Len under the view's snapshot.
-func (v *View) Len() int { return v.v.Len() }
-
-// Scan is Engine.Scan pinned to the view's snapshot: no cross-shard move
-// or rebalance install can interleave, so two drains of the same range
-// inside one View yield byte-identical streams. The cursor is only valid
-// inside the View callback. Single-shard inserts and deletes may still
-// land between batches — a View is move-stable, not write-stable.
-func (v *View) Scan(lo, hi int64, opts ScanOptions) *Cursor { return v.v.Scan(lo, hi, opts) }
+func (e *Engine) View(fn func(*View)) { e.sh.View(fn) }
 
 // ---------------------------------------------------------------------------
 // Streaming scans
@@ -515,172 +455,48 @@ var ErrBadPageToken = shard.ErrBadPageToken
 func (e *Engine) Scan(lo, hi int64, opts ScanOptions) *Cursor { return e.sh.Scan(lo, hi, opts) }
 
 // OpKind enumerates workload operations.
-type OpKind int
+type OpKind = workload.Kind
 
 const (
-	PointQuery OpKind = iota
-	RangeCount
-	RangeSum
-	Insert
-	Delete
-	Update
+	PointQuery = workload.Q1PointQuery
+	RangeCount = workload.Q2RangeCount
+	RangeSum   = workload.Q3RangeSum
+	Insert     = workload.Q4Insert
+	Delete     = workload.Q5Delete
+	Update     = workload.Q6Update
 	// Scan is a streaming cursor read over [Key, Key2], optionally
 	// LIMIT-bounded by Op.Limit. Execute drains the cursor and returns the
 	// row count; for the layout solver and drift monitor it is a range
 	// access over the span it requests.
-	Scan
+	Scan = workload.Q8Scan
 )
 
 // Op is one workload operation. Key2 holds the range end (RangeCount,
 // RangeSum, Scan) or the new key (Update). Limit caps the rows a Scan
 // yields (0 = unlimited) and is ignored by every other kind.
-type Op struct {
-	Kind  OpKind
-	Key   int64
-	Key2  int64
-	Limit int
-}
+type Op = workload.Op
 
-func toWorkloadOps(ops []Op) []workload.Op {
-	out := make([]workload.Op, len(ops))
-	for i, op := range ops {
-		out[i] = workload.Op{Kind: workloadKind(op.Kind), Key: op.Key, Key2: op.Key2, Limit: op.Limit}
-	}
-	return out
-}
-
-func workloadKind(k OpKind) workload.Kind {
-	switch k {
-	case PointQuery:
-		return workload.Q1PointQuery
-	case RangeCount:
-		return workload.Q2RangeCount
-	case RangeSum:
-		return workload.Q3RangeSum
-	case Insert:
-		return workload.Q4Insert
-	case Delete:
-		return workload.Q5Delete
-	case Update:
-		return workload.Q6Update
-	case Scan:
-		return workload.Q8Scan
-	}
-	panic(fmt.Sprintf("casper: unknown op kind %d", int(k)))
-}
-
-func fromWorkloadOps(ops []workload.Op) []Op {
-	out := make([]Op, len(ops))
-	for i, op := range ops {
-		var k OpKind
-		switch op.Kind {
-		case workload.Q1PointQuery:
-			k = PointQuery
-		case workload.Q2RangeCount:
-			k = RangeCount
-		case workload.Q3RangeSum:
-			k = RangeSum
-		case workload.Q4Insert:
-			k = Insert
-		case workload.Q5Delete:
-			k = Delete
-		case workload.Q6Update:
-			k = Update
-		case workload.Q8Scan:
-			k = Scan
-		}
-		out[i] = Op{Kind: k, Key: op.Key, Key2: op.Key2, Limit: op.Limit}
-	}
-	return out
-}
-
-// Execute runs one operation, returning a sink value (query result or 1/0
-// success flag for writes). When a monitor is active the operation is also
-// recorded for later retraining.
-func (e *Engine) Execute(op Op) int64 {
-	e.monMu.Lock()
-	mon := e.mon
-	e.monMu.Unlock()
-	if mon != nil {
-		mon.record(op)
-	}
-	return e.sh.Execute(workload.Op{Kind: workloadKind(op.Kind), Key: op.Key, Key2: op.Key2, Limit: op.Limit})
-}
-
-// ExecuteAll runs the operations serially.
-func (e *Engine) ExecuteAll(ops []Op) int64 {
-	e.monMu.Lock()
-	mon := e.mon
-	e.monMu.Unlock()
-	if mon == nil {
-		return e.sh.ExecuteAll(toWorkloadOps(ops))
-	}
-	var sink int64
-	for _, op := range ops {
-		sink += e.Execute(op)
-	}
-	return sink
-}
-
-// ExecuteParallel spreads the operations over the given number of worker
-// goroutines; shard- and chunk-level locking serializes conflicting writes.
-func (e *Engine) ExecuteParallel(ops []Op, workers int) int64 {
-	return e.sh.ExecuteParallel(toWorkloadOps(ops), workers)
-}
+// Execute runs one operation and returns its sink value: the query result,
+// the rows a Scan yielded, or 1 for an applied write. A failed write returns
+// 0 and its error, as does an unknown op kind.
+func (e *Engine) Execute(op Op) (int64, error) { return e.sh.Execute(op) }
 
 // ApplyBatch groups the operations by owning shard and applies each group on
 // its own goroutine — the batched write path. Operations keep their relative
-// order within a shard; operations spanning shards apply after the per-shard
-// waves. Returns the summed sink values. Batched operations feed an active
-// monitor just like Execute, so Retrain sees the full workload.
-func (e *Engine) ApplyBatch(ops []Op) int64 {
-	e.monMu.Lock()
-	mon := e.mon
-	e.monMu.Unlock()
-	if mon != nil {
-		for _, op := range ops {
-			mon.record(op)
-		}
-	}
-	return e.sh.ApplyBatch(toWorkloadOps(ops))
-}
+// order within a shard; operations spanning shards apply after the
+// per-shard waves. It returns the summed sink values; a failed op does not
+// stop the rest of the batch, and the error joins the first failure of
+// every group.
+func (e *Engine) ApplyBatch(ops []Op) (int64, error) { return e.sh.ApplyBatch(ops) }
 
-// PendingBatch is a handle to a batch being applied asynchronously.
-type PendingBatch struct {
-	ch chan int64
-}
-
-// Wait blocks until the batch has been applied and returns its summed sink.
-func (b *PendingBatch) Wait() int64 { return <-b.ch }
-
-// ApplyBatchAsync applies the batch on a background goroutine and returns
-// immediately; Wait on the handle to collect the result. Like ApplyBatch,
-// the operations feed an active monitor.
-func (e *Engine) ApplyBatchAsync(ops []Op) *PendingBatch {
-	b := &PendingBatch{ch: make(chan int64, 1)}
-	go func() { b.ch <- e.ApplyBatch(ops) }()
-	return b
-}
-
-// LayoutSummary describes one chunk's physical layout.
-type LayoutSummary struct {
-	Shard      int
-	Chunk      int
-	Partitions int
-	Sizes      []int // live values per partition
-	Ghosts     []int // free ghost slots per partition
-}
+// LayoutSummary describes one chunk's physical layout: its shard, its chunk
+// index, and the live values (Sizes) and free ghost slots (Ghosts) of each
+// partition.
+type LayoutSummary = shard.LayoutSummary
 
 // Layouts reports the current physical layout of partitioned chunks across
 // all shards.
-func (e *Engine) Layouts() []LayoutSummary {
-	in := e.sh.Layouts()
-	out := make([]LayoutSummary, len(in))
-	for i, l := range in {
-		out[i] = LayoutSummary{Shard: l.Shard, Chunk: l.Chunk, Partitions: l.Partitions, Sizes: l.Sizes, Ghosts: l.Ghosts}
-	}
-	return out
-}
+func (e *Engine) Layouts() []LayoutSummary { return e.sh.Layouts() }
 
 // ---------------------------------------------------------------------------
 // Workload helpers
@@ -705,11 +521,7 @@ func PresetWorkload(name string, keys []int64, domainMax int64, ops int, seed in
 	if err != nil {
 		return nil, err
 	}
-	ws, err := workload.Generate(keys, domainMax, spec)
-	if err != nil {
-		return nil, err
-	}
-	return fromWorkloadOps(ws), nil
+	return workload.Generate(keys, domainMax, spec)
 }
 
 // UniformKeys generates n uniformly distributed keys over [0, domainMax].
@@ -807,7 +619,8 @@ func (t *Tx) Update(old, new int64) error {
 }
 
 // Commit validates the transaction (first committer wins) and applies its
-// writes to storage.
+// writes to storage. Writes that fail to apply after validation (for
+// example, shed by admission control) are reported in the returned error.
 func (t *Tx) Commit() error {
 	if err := t.inner.Commit(); err != nil {
 		if o := t.e.sh.Obs(); o.Enabled() && errors.Is(err, txn.ErrConflict) {
@@ -818,10 +631,13 @@ func (t *Tx) Commit() error {
 	if o := t.e.sh.Obs(); o.Enabled() {
 		o.TxnCommits.Inc(0)
 	}
+	var errs []error
 	for _, op := range t.ops {
-		t.e.Execute(op)
+		if _, err := t.e.Execute(op); err != nil {
+			errs = append(errs, err)
+		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // Abort discards the transaction.
@@ -875,118 +691,21 @@ func ShiftWorkload(ops []Op, domainMax int64, frac float64) []Op {
 }
 
 // ---------------------------------------------------------------------------
-// Online monitoring and re-partitioning (the A' arc of Fig. 10)
+// Online re-partitioning (the A' arc of Fig. 10)
 // ---------------------------------------------------------------------------
 
-// Monitor collects executed operations so the layout can be re-derived when
-// access patterns drift — the paper's online extension where "offline
-// indexing techniques [are] repurposed for online indexing" (§1).
-type Monitor struct {
-	mu  sync.Mutex
-	ops []Op
-	cap int
-}
-
-// StartMonitor begins recording operations executed through Execute and
-// ExecuteAll, keeping the most recent capacity operations.
-func (e *Engine) StartMonitor(capacity int) {
-	if capacity <= 0 {
-		capacity = 10_000
-	}
-	e.monMu.Lock()
-	e.mon = &Monitor{cap: capacity}
-	e.monMu.Unlock()
-}
-
-// StopMonitor stops recording and returns the operations captured so far.
-func (e *Engine) StopMonitor() []Op {
-	e.monMu.Lock()
-	defer e.monMu.Unlock()
-	if e.mon == nil {
-		return nil
-	}
-	ops := e.mon.snapshot()
-	e.mon = nil
-	return ops
-}
-
-// Monitored returns the number of operations currently recorded.
-func (e *Engine) Monitored() int {
-	e.monMu.Lock()
-	defer e.monMu.Unlock()
-	if e.mon == nil {
-		return 0
-	}
-	e.mon.mu.Lock()
-	defer e.mon.mu.Unlock()
-	return len(e.mon.ops)
-}
-
-func (m *Monitor) record(op Op) {
-	m.mu.Lock()
-	if len(m.ops) >= m.cap {
-		// Keep the most recent window.
-		copy(m.ops, m.ops[len(m.ops)-m.cap/2:])
-		m.ops = m.ops[:m.cap/2]
-	}
-	m.ops = append(m.ops, op)
-	m.mu.Unlock()
-}
-
-func (m *Monitor) snapshot() []Op {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Op, len(m.ops))
-	copy(out, m.ops)
-	return out
-}
-
-// Retrain re-solves the layout from the monitored operations and applies it
-// (a re-partitioning cycle). The monitor keeps recording. Requires
-// ModeCasper and an active monitor.
-func (e *Engine) Retrain(parallelism int) error {
-	e.monMu.Lock()
-	mon := e.mon
-	e.monMu.Unlock()
-	if mon == nil {
-		return fmt.Errorf("casper: Retrain requires an active monitor (call StartMonitor)")
-	}
-	ops := mon.snapshot()
-	if len(ops) == 0 {
-		return fmt.Errorf("casper: no monitored operations to retrain from")
-	}
-	return e.Train(ops, parallelism)
-}
-
-// RetrainPolicy tunes the background auto-retrainer (see StartAutoRetrain).
-// Zero fields select defaults.
-type RetrainPolicy struct {
-	// CheckEvery is the drift check cadence (default 100ms).
-	CheckEvery time.Duration
-	// MinOps is the minimum number of operations a shard must observe
-	// since its last training before it is considered (default 1000).
-	MinOps int
-	// MaxDrift triggers a retrain when the total-variation distance
-	// between a shard's current access histogram and its at-training
-	// baseline reaches this value in [0, 1] (default 0.15).
-	MaxDrift float64
-	// Parallelism is the per-retrain solver parallelism (default 1).
-	Parallelism int
-}
+// RetrainPolicy tunes the background auto-retrainer (see StartAutoRetrain):
+// drift check cadence, minimum ops per shard since its last training, the
+// total-variation drift threshold, and per-retrain solver parallelism. Zero
+// fields select defaults.
+type RetrainPolicy = shard.RetrainPolicy
 
 // StartAutoRetrain launches the background retraining worker: every
 // operation feeds per-shard access histograms, and a shard whose access
 // pattern drifts past the policy threshold is re-trained on a shadow copy
 // that is swapped in atomically — reads and writes never block on the
 // solver. Requires ModeCasper.
-func (e *Engine) StartAutoRetrain(p RetrainPolicy) error {
-	return e.sh.StartAutoRetrain(shard.RetrainPolicy{
-		CheckEvery:  p.CheckEvery,
-		MinOps:      p.MinOps,
-		MaxDrift:    p.MaxDrift,
-		Parallelism: p.Parallelism,
-	})
-}
+func (e *Engine) StartAutoRetrain(p RetrainPolicy) error { return e.sh.StartAutoRetrain(p) }
 
 // StopAutoRetrain stops the background retrainer, waiting for any in-flight
 // retrain to finish. Safe to call when none is running.
@@ -1064,38 +783,17 @@ func (e *Engine) ShardRowCounts() []int { return e.sh.RowCounts() }
 func (e *Engine) ShardSkew() float64 { return e.sh.Skew() }
 
 // RebalancePolicy tunes the background auto-rebalancer (see
-// StartAutoRebalance). Zero fields select defaults.
-type RebalancePolicy struct {
-	// CheckEvery is the skew check cadence (default 200ms).
-	CheckEvery time.Duration
-	// MaxSkew triggers a rebalance when the max/mean shard row-count ratio
-	// reaches this value (default 1.5).
-	MaxSkew float64
-	// Strategy selects the boundary proposer (default RebalanceMinimal).
-	Strategy RebalanceStrategy
-	// MinRows is the minimum total row count before rebalancing is
-	// considered (default 1024).
-	MinRows int
-	// MinOps is the minimum number of monitored operations between
-	// rebalances (default 256), so an idle engine never rebalances on
-	// stale skew.
-	MinOps int
-}
+// StartAutoRebalance): skew check cadence, the max/mean skew trigger, the
+// proposal strategy, and the minimum rows and monitored ops before a
+// rebalance is considered. Zero fields select defaults.
+type RebalancePolicy = shard.RebalancePolicy
 
 // StartAutoRebalance launches the background rebalancing worker: when the
 // key distribution drifts so far that one shard holds MaxSkew times the mean
 // row count (and the engine is absorbing writes), the shard boundaries are
 // re-split automatically — the sharded analogue of the auto-retrainer's
 // in-shard re-layout. Requires Options.ShardByRange.
-func (e *Engine) StartAutoRebalance(p RebalancePolicy) error {
-	return e.sh.StartAutoRebalance(shard.RebalancePolicy{
-		CheckEvery: p.CheckEvery,
-		MaxSkew:    p.MaxSkew,
-		Strategy:   p.Strategy,
-		MinRows:    p.MinRows,
-		MinOps:     p.MinOps,
-	})
-}
+func (e *Engine) StartAutoRebalance(p RebalancePolicy) error { return e.sh.StartAutoRebalance(p) }
 
 // StopAutoRebalance stops the background rebalancer, waiting for any
 // in-flight rebalance to finish. Safe to call when none is running.
@@ -1109,9 +807,7 @@ func (e *Engine) Rebalances() uint64 { return e.sh.Rebalances() }
 // closes the write-ahead logs, returning the first failure — under Sync
 // modes weaker than SyncModeAlways this final fsync is what makes the
 // latest writes durable. The engine remains usable for queries; writes
-// after Close lose durability (reported where the write API returns an
-// error; Insert surfaces WAL failures on the next SyncWAL/Checkpoint/Close
-// instead).
+// after Close lose durability and report it in their error.
 func (e *Engine) Close() error { return e.sh.Close() }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ package casper
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 )
@@ -39,6 +40,9 @@ func TestOpenAllModes(t *testing.T) {
 		if e.Chunks() < 2 {
 			t.Errorf("%v: chunks = %d, want >= 2", mode, e.Chunks())
 		}
+	}
+	if _, err := Open(UniformKeys(100, 1000, 1), testOptions(42)); err == nil {
+		t.Error("Open accepted unknown mode 42")
 	}
 }
 
@@ -85,8 +89,10 @@ func TestEndToEndCasperFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, op := range sample {
-		if got, want := e.Execute(op), ref.Execute(op); got != want {
-			t.Fatalf("op %d (%+v): casper=%d sorted=%d", i, op, got, want)
+		got, gotErr := e.Execute(op)
+		want, wantErr := ref.Execute(op)
+		if got != want || (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("op %d (%+v): casper=%d (%v) sorted=%d (%v)", i, op, got, gotErr, want, wantErr)
 		}
 	}
 }
@@ -278,9 +284,39 @@ func TestExecuteParallelPublic(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		ops = append(ops, Op{Kind: PointQuery, Key: int64(i * 37)})
 	}
-	if s, p := e.ExecuteAll(ops), e.ExecuteParallel(ops, 4); s != p {
-		t.Fatalf("serial %d != parallel %d", s, p)
+	serial := executeAll(e, ops)
+	const workers = 4
+	sums := make([]int64, workers)
+	var wg sync.WaitGroup
+	per := (len(ops) + workers - 1) / workers
+	for w := range sums {
+		part := ops[min(w*per, len(ops)):min((w+1)*per, len(ops))]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sums[w] = executeAll(e, part)
+		}()
 	}
+	wg.Wait()
+	var parallel int64
+	for _, s := range sums {
+		parallel += s
+	}
+	if serial != parallel {
+		t.Fatalf("serial %d != parallel %d", serial, parallel)
+	}
+}
+
+// executeAll runs ops serially and returns the summed sink. A failed write
+// (a generated delete of an absent key) adds nothing, identically on every
+// engine under comparison.
+func executeAll(e *Engine, ops []Op) int64 {
+	var sink int64
+	for _, op := range ops {
+		n, _ := e.Execute(op)
+		sink += n
+	}
+	return sink
 }
 
 func TestDeleteReturnsNotFoundError(t *testing.T) {
@@ -321,7 +357,7 @@ func TestShardedEngineMatchesSingleTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s, p := single.ExecuteAll(ops), sharded.ExecuteAll(ops); s != p {
+	if s, p := executeAll(single, ops), executeAll(sharded, ops); s != p {
 		t.Fatalf("single sink %d != sharded sink %d", s, p)
 	}
 	if s, p := single.Len(), sharded.Len(); s != p {
@@ -348,20 +384,43 @@ func TestApplyBatchPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var batch []Op
-	for i := 0; i < 256; i++ {
-		batch = append(batch, Op{Kind: Insert, Key: int64(100_000 + i)})
+	batch := func(base int64) []Op {
+		var ops []Op
+		for i := 0; i < 256; i++ {
+			ops = append(ops, Op{Kind: Insert, Key: base + int64(i)})
+		}
+		return ops
 	}
 	before := e.Len()
-	if sink := e.ApplyBatch(batch); sink != int64(len(batch)) {
-		t.Fatalf("batch sink = %d, want %d", sink, len(batch))
+	if sink, err := e.ApplyBatch(batch(100_000)); sink != 256 || err != nil {
+		t.Fatalf("batch = %d, %v; want 256, nil", sink, err)
 	}
-	if got, want := e.Len(), before+len(batch); got != want {
+	if got, want := e.Len(), before+256; got != want {
 		t.Fatalf("Len = %d, want %d", got, want)
 	}
-	p := e.ApplyBatchAsync(batch)
-	if sink := p.Wait(); sink != int64(len(batch)) {
-		t.Fatalf("async batch sink = %d, want %d", sink, len(batch))
+	// Concurrent batches over disjoint keys both apply in full.
+	var wg sync.WaitGroup
+	for _, base := range []int64{200_000, 300_000} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if sink, err := e.ApplyBatch(batch(base)); sink != 256 || err != nil {
+				t.Errorf("concurrent batch at %d = %d, %v; want 256, nil", base, sink, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := e.Len(), before+3*256; got != want {
+		t.Fatalf("Len = %d after concurrent batches, want %d", got, want)
+	}
+	// A failed op does not stop the batch; its error comes back.
+	mixed := []Op{{Kind: Delete, Key: 987_654_321}, {Kind: Insert, Key: 400_000}, {Kind: OpKind(99)}}
+	sink, err := e.ApplyBatch(mixed)
+	if sink != 1 || err == nil {
+		t.Fatalf("mixed batch = %d, %v; want 1 and the delete's and unknown kind's errors", sink, err)
+	}
+	if e.PointQuery(400_000) != 1 {
+		t.Fatal("insert after a failed delete in the same batch was not applied")
 	}
 }
 

@@ -280,7 +280,9 @@ func runDurable(rows, measuredOps int, seed int64) error {
 			return fmt.Errorf("%s: %w", c.name, err)
 		}
 		start := time.Now()
-		eng.ApplyBatch(batch)
+		if _, err := eng.ApplyBatch(batch); err != nil {
+			return fmt.Errorf("%s ingest: %w", c.name, err)
+		}
 		opsPerSec := float64(len(batch)) / time.Since(start).Seconds()
 		eng.Close()
 		if base == 0 {
@@ -344,7 +346,9 @@ func runRebalance(rows, measuredOps int, seed int64) error {
 		if err != nil {
 			return err
 		}
-		e.ApplyBatch(batch)
+		if _, err := e.ApplyBatch(batch); err != nil {
+			return err
+		}
 		res, err := e.RebalanceWith(strat.s)
 		if err != nil {
 			return err
@@ -382,10 +386,14 @@ func runRebalance(rows, measuredOps int, seed int64) error {
 	for i := range batch {
 		batch[i] = casper.Op{Kind: casper.Insert, Key: domain + int64(measuredOps) + 1 + int64(i)}
 	}
-	eng.ApplyBatch(batch)
+	if _, err := eng.ApplyBatch(batch); err != nil {
+		return err
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	for eng.Rebalances() < 2 && time.Now().Before(deadline) {
-		eng.Insert(domain + int64(2*measuredOps) + time.Now().UnixNano()%1_000)
+		if err := eng.Insert(domain + int64(2*measuredOps) + time.Now().UnixNano()%1_000); err != nil {
+			return err
+		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	if eng.Rebalances() < 2 {
@@ -426,7 +434,7 @@ func runThroughput(shardList string, rows, measuredOps, workers int, seed int64)
 				return err
 			}
 			start := time.Now()
-			eng.ExecuteParallel(ops, workers)
+			experiments.RunParallel(eng, ops, workers)
 			opsPerSec := float64(len(ops)) / time.Since(start).Seconds()
 			if base == 0 {
 				base = opsPerSec
@@ -680,7 +688,7 @@ func runThroughputSweep(cpuList string, rows, measuredOps int, seed int64, outPa
 				return err
 			}
 			start := time.Now()
-			eng.ExecuteParallel(ops, c)
+			experiments.RunParallel(eng, ops, c)
 			opsPerSec := float64(len(ops)) / time.Since(start).Seconds()
 			if base == 0 {
 				base = opsPerSec

@@ -228,7 +228,9 @@ func runObsBench(rows, opsPerTrial int, seed int64, outPath string) error {
 	}
 	deng.EnableMetrics()
 	for i := 0; i < 512; i++ {
-		deng.Insert(domain + int64(i))
+		if err := deng.Insert(domain + int64(i)); err != nil {
+			return err
+		}
 	}
 	if err := deng.SyncWAL(); err != nil {
 		return err

@@ -87,9 +87,10 @@ func runReplica(rows, measuredOps int, seed int64, outPath string) error {
 	// Ingest in a goroutine; sample follower lag on a short cadence.
 	start := time.Now()
 	done := make(chan struct{})
+	var ingestErr error
 	go func() {
 		defer close(done)
-		leader.ApplyBatch(batch)
+		_, ingestErr = leader.ApplyBatch(batch)
 	}()
 	ticker := time.NewTicker(5 * time.Millisecond)
 	defer ticker.Stop()
@@ -111,6 +112,9 @@ sampling:
 		}
 	}
 	ingest := time.Since(start)
+	if ingestErr != nil {
+		return fmt.Errorf("leader ingest: %w", ingestErr)
+	}
 	art.IngestOpsPerSec = float64(measuredOps) / ingest.Seconds()
 
 	// Ingest has stopped: the follower must drain the remaining tail and

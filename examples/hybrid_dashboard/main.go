@@ -103,18 +103,20 @@ func main() {
 		for b := 0; b < cfg.batches; b++ {
 			// Continuous ingest of recent (high-key) data. The sharded
 			// engine takes the batched write path: ops grouped by shard
-			// and the groups applied on parallel goroutines. (For fully
-			// asynchronous ingest, ApplyBatchAsync returns a handle to
-			// Wait on later.)
+			// and the groups applied on parallel goroutines.
 			ingest := make([]casper.Op, ingestPer)
 			for i := range ingest {
 				ingest[i] = casper.Op{Kind: casper.Insert, Key: domainMax - rng.Int63n(domainMax/10)}
 			}
 			if cfg.shards > 1 {
-				eng.ApplyBatch(ingest)
+				if _, err := eng.ApplyBatch(ingest); err != nil {
+					log.Fatal(err)
+				}
 			} else {
 				for _, op := range ingest {
-					eng.Insert(op.Key)
+					if err := eng.Insert(op.Key); err != nil {
+						log.Fatal(err)
+					}
 				}
 			}
 
@@ -216,7 +218,9 @@ func backgroundLoad(eng *casper.Engine) {
 		eng.RangeCount(lo, lo+domainMax/100)
 		eng.PointQuery(rng.Int63n(domainMax))
 		if i%4 == 0 {
-			eng.Insert(domainMax - rng.Int63n(domainMax/10))
+			if err := eng.Insert(domainMax - rng.Int63n(domainMax/10)); err != nil {
+				log.Fatal(err)
+			}
 		}
 		if i%32 == 0 {
 			time.Sleep(2 * time.Millisecond)

@@ -57,7 +57,9 @@ func main() {
 	fmt.Printf("range sum   [%d, %d] -> %d\n", domainMax/4, domainMax/2,
 		eng.RangeSum(int64(domainMax/4), int64(domainMax/2)))
 
-	eng.Insert(777_777)
+	if err := eng.Insert(777_777); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("inserted 777777 -> point query finds %d\n", eng.PointQuery(777_777))
 
 	if err := eng.UpdateKey(777_777, 888_888); err != nil {

@@ -51,8 +51,11 @@ func main() {
 		log.Fatal(err)
 	}
 	layouts := len(eng.Layouts())
-	eng.Insert(domainMax + 1)
-	eng.Insert(domainMax + 1)
+	for i := 0; i < 2; i++ {
+		if err := eng.Insert(domainMax + 1); err != nil {
+			log.Fatal(err)
+		}
+	}
 	if err := eng.Delete(keys[0]); err != nil {
 		log.Fatal(err)
 	}
@@ -103,7 +106,9 @@ func main() {
 
 	// 5. The recovered engine is live: it keeps appending to fresh WAL
 	//    segments and checkpointing.
-	rec.Insert(domainMax + 3)
+	if err := rec.Insert(domainMax + 3); err != nil {
+		log.Fatal(err)
+	}
 	if err := rec.Checkpoint(); err != nil {
 		log.Fatal(err)
 	}

@@ -49,7 +49,9 @@ func main() {
 
 	measure := func(ops []casper.Op) float64 {
 		t0 := time.Now()
-		eng.ExecuteAll(ops)
+		for _, op := range ops {
+			eng.Execute(op) // a generated delete may miss; only the time counts
+		}
 		return float64(time.Since(t0).Nanoseconds()) / float64(len(ops))
 	}
 	base := measure(eval)

@@ -79,12 +79,9 @@ func (f *Follower) Scan(lo, hi int64, opts ScanOptions) *Cursor {
 // View runs fn over a pinned snapshot of the follower's applied state: the
 // apply loop cannot advance the image mid-View, so every query inside fn
 // observes one epoch.
-func (f *Follower) View(fn func(*View)) {
-	f.f.Engine().View(func(v *shard.View) { fn(&View{v: v}) })
-}
+func (f *Follower) View(fn func(*View)) { f.f.Engine().View(fn) }
 
-// Insert is rejected: followers are read-only. It returns ErrReadOnly
-// (unlike Engine.Insert, which has no error to return).
+// Insert is rejected: followers are read-only.
 func (f *Follower) Insert(key int64) error { return ErrReadOnly }
 
 // Delete is rejected: followers are read-only.

@@ -145,7 +145,7 @@ func Fig12(sc Scale) Report {
 				panic(fmt.Sprintf("%s/%v: %v", preset, mode, err))
 			}
 			t0 := time.Now()
-			e.ExecuteParallel(run, sc.Workers)
+			RunParallel(e, run, sc.Workers)
 			tputs[mode] = float64(len(run)) / time.Since(t0).Seconds()
 		}
 		base := tputs[casper.ModeStateOfArt]

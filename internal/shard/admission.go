@@ -21,9 +21,8 @@ package shard
 //
 // Backpressure shape is selected by AdmissionPolicy.MaxWait: zero sheds
 // immediately with ErrOverload; positive blocks the writer up to that
-// deadline before shedding. Engine.Insert has no error to return, so under
-// admission it always blocks until admitted (backpressure, never data
-// loss); the tenant-scoped Writer handle and Delete/UpdateKey surface
+// deadline before shedding. Every gated write — Engine.Insert, Delete and
+// UpdateKey on lane 0, and the tenant-scoped Writer handle — surfaces
 // ErrOverload. The controller never holds any engine lock while a writer
 // waits — admission resolves strictly before the write enters the gated
 // write path, so a shed op is never partially applied.
@@ -202,13 +201,11 @@ func (a *admission) mintLocked(now time.Time) {
 	}
 }
 
-// admit gates one write for the given tenant. canShed false (Engine.Insert,
-// whose signature has no error) waits indefinitely; canShed true resolves
-// per the policy: immediate ErrOverload when MaxWait is zero, else a block
-// bounded by MaxWait. Instrumentation: exactly one of admitted/shed per
+// admit gates one write for the given tenant per the policy: immediate
+// ErrOverload when MaxWait is zero, else a block bounded by MaxWait. Instrumentation: exactly one of admitted/shed per
 // call, queued once for any call that waited, wait time observed for every
 // waiter (admitted or shed).
-func (e *Engine) admit(tenant int, canShed bool) error {
+func (e *Engine) admit(tenant int) error {
 	a := e.adm
 	if a == nil {
 		return nil
@@ -233,7 +230,7 @@ func (e *Engine) admit(tenant int, canShed bool) error {
 			return nil
 		}
 		// No token anywhere. Shed or queue.
-		if canShed && a.pol.MaxWait <= 0 {
+		if a.pol.MaxWait <= 0 {
 			if a.onShed != nil {
 				a.onShed(a.lanes[t], a.shared)
 			}
@@ -246,7 +243,7 @@ func (e *Engine) admit(tenant int, canShed bool) error {
 			deadline = now.Add(a.pol.MaxWait)
 			e.obs.AdmissionQueued.Inc(t)
 		}
-		if canShed && !now.Before(deadline) {
+		if !now.Before(deadline) {
 			if a.onShed != nil {
 				a.onShed(a.lanes[t], a.shared)
 			}
@@ -267,13 +264,11 @@ func (e *Engine) admit(tenant int, canShed bool) error {
 		if wait < 50*time.Microsecond {
 			wait = 50 * time.Microsecond
 		}
-		if canShed {
-			if left := time.Until(deadline); left < wait {
-				wait = left
-			}
-			if wait <= 0 {
-				wait = time.Microsecond
-			}
+		if left := time.Until(deadline); left < wait {
+			wait = left
+		}
+		if wait <= 0 {
+			wait = time.Microsecond
 		}
 		select {
 		case <-a.stop:
@@ -340,8 +335,7 @@ func (a *admission) govern() {
 // Writer is a tenant-scoped write handle: every write submitted through it
 // passes admission as that tenant's lane and surfaces ErrOverload per the
 // engine's AdmissionPolicy. On an engine without admission control it is a
-// zero-cost veneer over the plain write methods (Insert additionally
-// reporting the mutate error the errorless Engine.Insert swallows).
+// zero-cost veneer over the plain write methods.
 type Writer struct {
 	e      *Engine
 	tenant int
@@ -350,10 +344,9 @@ type Writer struct {
 // Writer returns a write handle bound to the given tenant lane.
 func (e *Engine) Writer(tenant int) *Writer { return &Writer{e: e, tenant: tenant} }
 
-// Insert adds a row (Q4) through admission; unlike Engine.Insert it can
-// shed with ErrOverload and it returns the write path's error.
+// Insert adds a row (Q4) through admission as this writer's tenant.
 func (w *Writer) Insert(key int64) error {
-	if err := w.e.admit(w.tenant, true); err != nil {
+	if err := w.e.admit(w.tenant); err != nil {
 		return err
 	}
 	return w.e.insertAdmitted(key)
@@ -361,7 +354,7 @@ func (w *Writer) Insert(key int64) error {
 
 // Delete removes one row (Q5) through admission as this writer's tenant.
 func (w *Writer) Delete(key int64) error {
-	if err := w.e.admit(w.tenant, true); err != nil {
+	if err := w.e.admit(w.tenant); err != nil {
 		return err
 	}
 	return w.e.deleteAdmitted(key)
@@ -370,7 +363,7 @@ func (w *Writer) Delete(key int64) error {
 // UpdateKey changes one row's key (Q6) through admission as this writer's
 // tenant.
 func (w *Writer) UpdateKey(old, new int64) error {
-	if err := w.e.admit(w.tenant, true); err != nil {
+	if err := w.e.admit(w.tenant); err != nil {
 		return err
 	}
 	return w.e.updateKeyAdmitted(old, new)

@@ -17,7 +17,7 @@ package shard
 //     of the decision.
 //
 // Around the centerpiece: unit coverage for the disabled path, both
-// backpressure shapes, Engine.Insert's block-don't-shed contract, tenant
+// backpressure shapes, Engine.Insert's shed contract, tenant
 // fairness under a flooding hog, and the drift×lag governor.
 
 import (
@@ -346,11 +346,15 @@ func TestAdmissionBlocksThenSheds(t *testing.T) {
 	}
 }
 
-func TestAdmissionEngineInsertNeverSheds(t *testing.T) {
+// TestAdmissionEngineInsertSheds pins Engine.Insert's admission contract:
+// it is gated like Delete and UpdateKey, so once the burst is spent it sheds
+// with ErrOverload, a shed insert applies nothing, and every attempt counts
+// exactly once as admitted or shed.
+func TestAdmissionEngineInsertSheds(t *testing.T) {
 	e, err := New(workload.UniformKeys(100, 10_000, 1), admissionConfig(t.TempDir(), AdmissionPolicy{
 		MaxWriteRate: 400,
 		Burst:        4,
-		MaxWait:      0, // Writer would shed; Engine.Insert must block instead
+		MaxWait:      0, // shed immediately
 		AdaptEvery:   time.Hour,
 	}))
 	if err != nil {
@@ -358,18 +362,37 @@ func TestAdmissionEngineInsertNeverSheds(t *testing.T) {
 	}
 	defer e.Close()
 	const n = 40
+	var admitted, shed int
 	for i := 0; i < n; i++ {
-		e.Insert(400_000 + int64(i)) // no error to return; blocks until admitted
+		key := 400_000 + int64(i)
+		switch err := e.Insert(key); {
+		case err == nil:
+			admitted++
+			if got := e.PointQuery(key); got != 1 {
+				t.Fatalf("admitted Insert(%d): PointQuery = %d, want 1", key, got)
+			}
+		case errors.Is(err, ErrOverload):
+			shed++
+			if got := e.PointQuery(key); got != 0 {
+				t.Fatalf("shed Insert(%d) was applied: PointQuery = %d", key, got)
+			}
+		default:
+			t.Fatalf("Insert(%d): %v", key, err)
+		}
 	}
-	if want := 100 + n; e.Len() != want {
-		t.Fatalf("Len = %d, want %d: errorless Insert lost writes", e.Len(), want)
+	if shed == 0 {
+		t.Fatalf("no Insert shed in %d attempts against a burst of 4", n)
+	}
+	if want := 100 + admitted; e.Len() != want {
+		t.Fatalf("Len = %d, want %d", e.Len(), want)
 	}
 	snap := e.Metrics()
-	if snap.Admission.Shed != 0 {
-		t.Fatalf("Engine.Insert shed %d writes; it must only block", snap.Admission.Shed)
+	if snap.Admission.Admitted != uint64(admitted) || snap.Admission.Shed != uint64(shed) {
+		t.Fatalf("counters admitted %d shed %d, want %d and %d",
+			snap.Admission.Admitted, snap.Admission.Shed, admitted, shed)
 	}
-	if snap.Admission.Admitted != n {
-		t.Fatalf("admitted %d, want %d", snap.Admission.Admitted, n)
+	if got := snap.Admission.Admitted + snap.Admission.Shed; got != n {
+		t.Fatalf("admitted + shed = %d, want %d attempts", got, n)
 	}
 }
 
@@ -463,8 +486,12 @@ func TestAdmissionGovernorThrottlesAndRecovers(t *testing.T) {
 
 	// Never-trained shards report full drift; once the recorded backlog
 	// passes LagRef the governor must squeeze the rate to the floor.
-	for i := 0; i < 600; i++ {
-		e.Insert(600_000 + int64(i))
+	for i := 0; i < 600; {
+		if err := e.Insert(600_000 + int64(i)); errors.Is(err, ErrOverload) {
+			time.Sleep(100 * time.Microsecond) // retry the shed insert
+			continue
+		}
+		i++
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	var rate float64

@@ -102,7 +102,10 @@ func TestConcurrentBatchesReadsAndRetraining(t *testing.T) {
 						batch = append(batch, workload.Op{Kind: workload.Q5Delete, Key: k})
 					}
 				}
-				e.ApplyBatch(batch)
+				if _, err := e.ApplyBatch(batch); err != nil {
+					t.Errorf("writer %d batch %d: %v", w, b, err)
+					return
+				}
 			}
 		}(w)
 	}
@@ -608,9 +611,10 @@ func TestRebalanceAtomicVisibility(t *testing.T) {
 	}
 }
 
-// TestConcurrentMixedOpsNoRace floods ExecuteParallel with a full hybrid mix
-// while the auto-retrainer runs — a pure race detector target with a final
-// row-count sanity bound.
+// TestConcurrentMixedOpsNoRace floods the engine with a full hybrid mix from
+// eight Execute workers and one concurrent ApplyBatch while the
+// auto-retrainer runs — a pure race detector target with a final row-count
+// sanity bound.
 func TestConcurrentMixedOpsNoRace(t *testing.T) {
 	e, keys := raceEngine(t)
 	if err := e.StartAutoRetrain(shard.RetrainPolicy{
@@ -630,15 +634,31 @@ func TestConcurrentMixedOpsNoRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.ExecuteParallel(ops, 8)
+	const workers = 8
+	batch := ops[:512]
+	var wg sync.WaitGroup
+	per := (len(ops) + workers - 1) / workers
+	for w := 0; w < workers; w++ {
+		part := ops[min(w*per, len(ops)):min((w+1)*per, len(ops))]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, op := range part {
+				e.Execute(op) // deletes of keys another worker removed fail
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		e.ApplyBatch(batch)
+	}()
+	wg.Wait()
 
-	counts := workload.Counts(ops)
-	minLen := raceInitialRows - counts[workload.Q5Delete]
-	maxLen := raceInitialRows + counts[workload.Q4Insert]
+	counts, bc := workload.Counts(ops), workload.Counts(batch)
+	minLen := raceInitialRows - counts[workload.Q5Delete] - bc[workload.Q5Delete]
+	maxLen := raceInitialRows + counts[workload.Q4Insert] + bc[workload.Q4Insert]
 	if n := e.Len(); n < minLen || n > maxLen {
 		t.Errorf("Len = %d outside feasible [%d, %d]", n, minLen, maxLen)
 	}
-	// The async batch path must also quiesce cleanly.
-	p := e.ApplyBatchAsync(ops[:512])
-	p.Wait()
 }

@@ -114,6 +114,48 @@ func monitorKinds(e *Engine) map[workload.Kind]int {
 	return counts
 }
 
+// execute runs op through Engine.Execute, failing the test on an error.
+func execute(t *testing.T, e *Engine, op workload.Op) int64 {
+	t.Helper()
+	n, err := e.Execute(op)
+	if err != nil {
+		t.Fatalf("Execute(%+v): %v", op, err)
+	}
+	return n
+}
+
+// TestMonitorWindowEviction pins the drift monitor's window: recording past
+// cap halves the window and the histogram, so at most cap ops are kept and
+// the newest is last.
+func TestMonitorWindowEviction(t *testing.T) {
+	const window = 100
+	m := newMonitor(window)
+	rec := func(k int) { m.record(workload.Op{Kind: workload.Q1PointQuery, Key: int64(k)}, 0) }
+	for i := 0; i < window; i++ {
+		rec(i)
+	}
+	if m.hist[0] != window {
+		t.Fatalf("histogram = %v at the cap, want %d", m.hist[0], window)
+	}
+	rec(window)
+	if got, want := len(m.sample()), window/2+1; got != want {
+		t.Fatalf("window = %d ops after overflow, want %d", got, want)
+	}
+	if got, want := m.hist[0], float64(window/2+1); got != want {
+		t.Fatalf("histogram = %v after overflow, want %v (halved, plus the new op)", got, want)
+	}
+	for i := window + 1; i < 500; i++ {
+		rec(i)
+	}
+	ops := m.sample()
+	if len(ops) == 0 || len(ops) > window {
+		t.Fatalf("window = %d ops, want 1..%d", len(ops), window)
+	}
+	if last := ops[len(ops)-1].Key; last != 499 {
+		t.Fatalf("newest recorded key = %d, want 499", last)
+	}
+}
+
 // TestMultiRangeSumMonitorAttribution regresses the falsified-mix bug:
 // MultiRangeSum used to record itself as Q3RangeSum, so the retrainer and
 // rebalancer could not tell the two apart in the recorded stream.

@@ -107,15 +107,15 @@ func runScenarioOracle(t *testing.T, scenario string, strat RebalanceStrategy) {
 			at := func() string { return fmt.Sprintf("phase %s op %d %+v", ph.Name, i, op) }
 			switch op.Kind {
 			case workload.Q1PointQuery:
-				if got, want := e.Execute(op), int64(oracle.count(op.Key)); got != want {
+				if got, want := execute(t, e, op), int64(oracle.count(op.Key)); got != want {
 					t.Fatalf("%s: point count = %d, oracle %d", at(), got, want)
 				}
 			case workload.Q2RangeCount:
-				if got, want := e.Execute(op), int64(oracle.rangeCount(op.Key, op.Key2)); got != want {
+				if got, want := execute(t, e, op), int64(oracle.rangeCount(op.Key, op.Key2)); got != want {
 					t.Fatalf("%s: range count = %d, oracle %d", at(), got, want)
 				}
 			case workload.Q3RangeSum:
-				if got, want := e.Execute(op), oracle.rangeSum(op.Key, op.Key2); got != want {
+				if got, want := execute(t, e, op), oracle.rangeSum(op.Key, op.Key2); got != want {
 					t.Fatalf("%s: range sum = %d, oracle %d", at(), got, want)
 				}
 			case workload.Q8Scan:
@@ -123,11 +123,11 @@ func runScenarioOracle(t *testing.T, scenario string, strat RebalanceStrategy) {
 				if op.Limit > 0 && int64(op.Limit) < want {
 					want = int64(op.Limit)
 				}
-				if got := e.Execute(op); got != want {
+				if got := execute(t, e, op); got != want {
 					t.Fatalf("%s: scan rows = %d, oracle %d", at(), got, want)
 				}
 			case workload.Q4Insert:
-				e.Execute(op)
+				execute(t, e, op)
 				oracle.insert(op.Key)
 			case workload.Q5Delete:
 				want := oracle.delete(op.Key)

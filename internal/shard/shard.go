@@ -1310,16 +1310,15 @@ func (v *View) Len() int {
 // Writes
 // ---------------------------------------------------------------------------
 
-// Insert adds a row with the given key (Q4). The signature has no error to
-// return, so on a durable engine a failed WAL append/fsync is held as the
-// log's sticky error and surfaces on the next Delete/UpdateKey, SyncWAL,
-// Checkpoint, or Close — callers needing per-insert durability confirmation
-// should follow the batch with SyncWAL. For the same reason Insert never
-// sheds under admission control: it blocks until admitted (tenant lane 0).
-// Use Engine.Writer for per-tenant lanes and ErrOverload-style shedding.
-func (e *Engine) Insert(key int64) {
-	_ = e.admit(0, false)
-	_ = e.insertAdmitted(key)
+// Insert adds a row with the given key (Q4). On a durable engine a failed
+// WAL append returns its error. Under admission control the op is gated on
+// tenant lane 0 and may return ErrOverload without having been applied; use
+// Engine.Writer for per-tenant lanes.
+func (e *Engine) Insert(key int64) error {
+	if err := e.admit(0); err != nil {
+		return err
+	}
+	return e.insertAdmitted(key)
 }
 
 // insertAdmitted is the write path below admission.
@@ -1341,7 +1340,7 @@ func (e *Engine) insertAdmitted(key int64) error {
 // when it succeeds. Under admission control the op is gated on tenant lane
 // 0 and may return ErrOverload without having been applied.
 func (e *Engine) Delete(key int64) error {
-	if err := e.admit(0, true); err != nil {
+	if err := e.admit(0); err != nil {
 		return err
 	}
 	return e.deleteAdmitted(key)
@@ -1380,7 +1379,7 @@ func (e *Engine) deleteAdmitted(key int64) error {
 // is gated on tenant lane 0 and may return ErrOverload without having been
 // applied.
 func (e *Engine) UpdateKey(old, new int64) error {
-	if err := e.admit(0, true); err != nil {
+	if err := e.admit(0); err != nil {
 		return err
 	}
 	return e.updateKeyAdmitted(old, new)
@@ -1574,87 +1573,57 @@ func (e *Engine) logMove(so, sn int, old, new int64, row []int32, pub uint64) er
 // Batched execution
 // ---------------------------------------------------------------------------
 
-// Execute runs one operation, returning a sink value (query result or 1/0
-// success flag for writes).
-func (e *Engine) Execute(op workload.Op) int64 {
+// Execute runs one operation and returns its sink value: the query result,
+// the rows a Scan yielded, or 1 for an applied write. A failed write returns
+// 0 and its error, as does an unknown op kind.
+func (e *Engine) Execute(op workload.Op) (int64, error) {
 	switch op.Kind {
 	case workload.Q1PointQuery:
-		return int64(e.PointQuery(op.Key))
+		return int64(e.PointQuery(op.Key)), nil
 	case workload.Q2RangeCount:
-		return int64(e.RangeCount(op.Key, op.Key2))
+		return int64(e.RangeCount(op.Key, op.Key2)), nil
 	case workload.Q3RangeSum:
-		return e.RangeSum(op.Key, op.Key2)
+		return e.RangeSum(op.Key, op.Key2), nil
 	case workload.Q7MultiRange:
-		return e.MultiRangeSum(op.Key, op.Key2, nil, 0)
+		return e.MultiRangeSum(op.Key, op.Key2, nil, 0), nil
 	case workload.Q8Scan:
 		c := e.Scan(op.Key, op.Key2, ScanOptions{Limit: op.Limit})
 		var n int64
 		for c.Next() {
 			n++
 		}
+		err := c.Err()
 		c.Close()
-		return n
+		return n, err
 	case workload.Q4Insert:
-		e.Insert(op.Key)
-		return 1
+		return applied(e.Insert(op.Key))
 	case workload.Q5Delete:
-		if err := e.Delete(op.Key); err == nil {
-			return 1
-		}
-		return 0
+		return applied(e.Delete(op.Key))
 	case workload.Q6Update:
-		if err := e.UpdateKey(op.Key, op.Key2); err == nil {
-			return 1
-		}
-		return 0
+		return applied(e.UpdateKey(op.Key, op.Key2))
 	}
-	return 0
+	return 0, fmt.Errorf("shard: unknown op kind %v", op.Kind)
 }
 
-// ExecuteAll runs the operations serially in order.
-func (e *Engine) ExecuteAll(ops []workload.Op) int64 {
-	var sink int64
+// applied is a write's sink: 1 when it applied, else 0 and its error.
+func applied(err error) (int64, error) {
+	if err != nil {
+		return 0, err
+	}
+	return 1, nil
+}
+
+// executeAll runs ops in order and returns the summed sink and the first
+// failure; a failed op does not stop the ops after it.
+func (e *Engine) executeAll(ops []workload.Op) (sink int64, first error) {
 	for _, op := range ops {
-		sink += e.Execute(op)
-	}
-	return sink
-}
-
-// ExecuteParallel spreads the operations over the given number of worker
-// goroutines regardless of shard affinity; shard and chunk locks serialize
-// conflicting writes.
-func (e *Engine) ExecuteParallel(ops []workload.Op, workers int) int64 {
-	if workers <= 1 {
-		return e.ExecuteAll(ops)
-	}
-	var wg sync.WaitGroup
-	sums := make([]int64, workers)
-	per := (len(ops) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > len(ops) {
-			hi = len(ops)
+		n, err := e.Execute(op)
+		sink += n
+		if first == nil {
+			first = err
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w int, part []workload.Op) {
-			defer wg.Done()
-			var s int64
-			for _, op := range part {
-				s += e.Execute(op)
-			}
-			sums[w] = s
-		}(w, ops[lo:hi])
 	}
-	wg.Wait()
-	var sink int64
-	for _, s := range sums {
-		sink += s
-	}
-	return sink
+	return sink, first
 }
 
 // ApplyBatch groups the operations by owning shard and applies each group on
@@ -1662,11 +1631,13 @@ func (e *Engine) ExecuteParallel(ops []workload.Op, workers int) int64 {
 // their relative order within a shard; operations spanning shards (range
 // reads under hash partitioning, cross-shard updates) run after the
 // per-shard waves. The returned sink is order-independent for disjoint-key
-// batches.
-func (e *Engine) ApplyBatch(ops []workload.Op) int64 {
+// batches. A failed op does not stop the rest of the batch: the error
+// joins (errors.Join) the first failure of every group and of the cross
+// wave.
+func (e *Engine) ApplyBatch(ops []workload.Op) (int64, error) {
 	n := len(e.shards)
 	if n == 1 {
-		return e.ExecuteAll(ops)
+		return e.executeAll(ops)
 	}
 	// The grouping is advisory: Execute re-routes each operation when it
 	// runs, so a rebalance landing mid-batch costs locality, not correctness.
@@ -1692,6 +1663,7 @@ func (e *Engine) ApplyBatch(ops []workload.Op) int64 {
 	}
 	var wg sync.WaitGroup
 	sums := make([]int64, n)
+	errs := make([]error, n+1)
 	for i, g := range groups {
 		if len(g) == 0 {
 			continue
@@ -1699,38 +1671,16 @@ func (e *Engine) ApplyBatch(ops []workload.Op) int64 {
 		wg.Add(1)
 		go func(i int, g []workload.Op) {
 			defer wg.Done()
-			var s int64
-			for _, op := range g {
-				s += e.Execute(op)
-			}
-			sums[i] = s
+			sums[i], errs[i] = e.executeAll(g)
 		}(i, g)
 	}
 	wg.Wait()
 	var sink int64
+	sink, errs[n] = e.executeAll(cross)
 	for _, s := range sums {
 		sink += s
 	}
-	for _, op := range cross {
-		sink += e.Execute(op)
-	}
-	return sink
-}
-
-// Pending is a handle to an asynchronously applied batch.
-type Pending struct {
-	ch chan int64
-}
-
-// Wait blocks until the batch has been applied and returns its sink value.
-func (p *Pending) Wait() int64 { return <-p.ch }
-
-// ApplyBatchAsync applies the batch on a background goroutine, returning
-// immediately with a handle the caller can Wait on.
-func (e *Engine) ApplyBatchAsync(ops []workload.Op) *Pending {
-	p := &Pending{ch: make(chan int64, 1)}
-	go func() { p.ch <- e.ApplyBatch(ops) }()
-	return p
+	return sink, errors.Join(errs...)
 }
 
 // ---------------------------------------------------------------------------

@@ -516,11 +516,10 @@ func TestScanMonitorAttribution(t *testing.T) {
 	}
 
 	// Execute dispatches Q8 ops and honors the op's Limit.
-	got := e.Execute(workload.Op{Kind: workload.Q8Scan, Key: 0, Key2: 597, Limit: 13})
-	if got != 13 {
+	if got := execute(t, e, workload.Op{Kind: workload.Q8Scan, Key: 0, Key2: 597, Limit: 13}); got != 13 {
 		t.Errorf("Execute(Q8Scan, Limit 13) yielded %d rows", got)
 	}
-	if e.Execute(workload.Op{Kind: workload.Q8Scan, Key: 0, Key2: 597}) != 200 {
+	if execute(t, e, workload.Op{Kind: workload.Q8Scan, Key: 0, Key2: 597}) != 200 {
 		t.Error("Execute(Q8Scan, no limit) did not drain the range")
 	}
 }

