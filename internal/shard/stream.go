@@ -9,6 +9,7 @@ package shard
 
 import (
 	"fmt"
+	"sync"
 
 	"casper/internal/obs"
 	"casper/internal/table"
@@ -18,14 +19,20 @@ import (
 // sourceBuf is one filled batch of a shardSource: the physical rows pulled
 // from the table iterator (rb) plus, when staged moves compensate into the
 // batch window, the merged key/row sequence in mk/mr. keys/rows are views
-// over whichever of the two backs this batch; done marks the final batch.
+// over whichever of the two backs this batch; done marks the final batch,
+// and stale marks a cursor-mode fill that found a rebalance install (it
+// carries no rows and is final). run is the prefetch task filling this
+// buffer, built once per pooled source so scheduling a fill allocates
+// nothing.
 type sourceBuf struct {
-	rb   table.RowBuf
-	mk   []int64
-	mr   [][]int32
-	keys []int64
-	rows [][]int32
-	done bool
+	rb    table.RowBuf
+	mk    []int64
+	mr    [][]int32
+	keys  []int64
+	rows  [][]int32
+	done  bool
+	stale bool
+	run   func()
 }
 
 // shardSource streams one shard's live rows with keys in [cursor, hi],
@@ -37,19 +44,30 @@ type sourceBuf struct {
 //   - cursor (pinned == nil): fill acquires this shard's gate stripe shared
 //     for the duration of one batch only, releasing it before the consumer
 //     sees the rows, and adopts the routing snapshot current at each fill —
-//     an install landing mid-scan is observed at the next batch boundary.
+//     staged moves landing mid-scan are observed at the next batch
+//     boundary. A fill that finds a partitioner other than part (a
+//     rebalance install since the cursor opened) yields a stale batch
+//     instead of rows: the shard's key ownership changed under the sources
+//     already scanned, so the cursor reopens every source under the new
+//     bounds.
 //
 // Batches end at key boundaries (the table iterator never splits a
 // duplicate run), so the resume cursor is always lastKey+1 and a batch's
 // staged-move compensation window (cursor, upTo] tiles the scanned range
-// exactly once per snapshot.
+// exactly once per snapshot. The batch that exhausts the table iterator
+// widens its window to hi and is final, so a short range costs one fill.
+//
+// Sources are recycled through sourcePool: a pooled source keeps its batch
+// arenas, merge and move scratch, hand-off channel and fill tasks.
 type shardSource struct {
 	e      *Engine
 	si     int
 	hi     int64
 	cursor int64
 	pinned *routeSnap
+	part   Partitioner // the partitioner the sources were opened under
 	batch  int
+	stale  *bool // the owning cursor's stale flag, set when a stale batch is reached
 
 	it      *table.ScanIter
 	tbl     *table.Table
@@ -70,10 +88,22 @@ type shardSource struct {
 	moveR [][]int32
 }
 
+var sourcePool = sync.Pool{New: func() any {
+	s := &shardSource{pre: make(chan *sourceBuf, 1)}
+	for i := range s.bufs {
+		b := &s.bufs[i]
+		b.run = func() {
+			s.fill(b)
+			s.pre <- b
+		}
+	}
+	return s
+}}
+
 // fill produces the next batch into b. At most one fill per source runs at
 // a time: prefetch serializes through the hand-off channel.
 func (s *shardSource) fill(b *sourceBuf) {
-	b.keys, b.rows, b.done = nil, nil, false
+	b.keys, b.rows, b.done, b.stale = nil, nil, false, false
 	if s.srcDone {
 		b.done = true
 		return
@@ -84,6 +114,11 @@ func (s *shardSource) fill(b *sourceBuf) {
 		st.mu.RLock()
 		defer st.mu.RUnlock()
 		v = s.e.route.Load()
+		if v.part != s.part {
+			s.srcDone = true
+			b.done, b.stale = true, true
+			return
+		}
 	}
 	sh := s.e.shards[s.si]
 	tableDone := true
@@ -100,7 +135,7 @@ func (s *shardSource) fill(b *sourceBuf) {
 			s.it = t.ScanRange(s.cursor, s.hi)
 			s.tbl = t
 		}
-		tableDone = !s.it.NextBatch(&b.rb, s.batch)
+		tableDone = !s.it.NextBatch(&b.rb, s.batch) || s.it.Done()
 	}
 	sh.mu.RUnlock()
 	upTo := s.hi
@@ -153,8 +188,9 @@ func (s *shardSource) fill(b *sourceBuf) {
 		b.keys, b.rows = b.mk, b.mr
 	}
 	if tableDone || upTo >= s.hi {
-		// Physical rows exhausted, or the batch ended exactly at hi (a
-		// duplicate run is never split, so nothing in range remains).
+		// Physical rows exhausted (possibly by this very batch), or the
+		// batch ended exactly at hi (a duplicate run is never split, so
+		// nothing in range remains).
 		s.srcDone = true
 		b.done = true
 		return
@@ -166,22 +202,19 @@ func (s *shardSource) fill(b *sourceBuf) {
 // engine's fan-out pool immediately, so a k-source cursor prefetches all
 // shards in parallel before the first Next.
 func (s *shardSource) start() {
-	s.pre = make(chan *sourceBuf, 1)
 	s.scheduleFill(&s.bufs[0])
 }
 
 func (s *shardSource) scheduleFill(b *sourceBuf) {
 	s.pending = true
-	s.e.pool.submit(func() {
-		s.fill(b)
-		s.pre <- b
-	})
+	s.e.pool.submit(b.run)
 }
 
 // next yields the source's next (key, row) pair. The returned row aliases
 // the current batch buffer and stays valid until the call after the one
 // that crosses into the next batch — the freed buffer is only rescheduled
-// for refill at that crossing.
+// for refill at that crossing. Reaching a stale batch raises the cursor's
+// stale flag and ends the source.
 func (s *shardSource) next() (int64, []int32, bool) {
 	for {
 		if s.cur != nil {
@@ -191,6 +224,9 @@ func (s *shardSource) next() (int64, []int32, bool) {
 				return k, r, true
 			}
 			if s.cur.done {
+				if s.cur.stale {
+					*s.stale = true
+				}
 				return 0, nil, false
 			}
 		}
@@ -208,7 +244,8 @@ func (s *shardSource) next() (int64, []int32, bool) {
 }
 
 // close releases the source: it waits out any in-flight prefetch (which may
-// briefly hold the gate stripe) and recycles the table iterator.
+// briefly hold the gate stripe), recycles the table iterator, and returns
+// the source to sourcePool — no fill can still be using its buffers.
 func (s *shardSource) close() {
 	if s.pending {
 		<-s.pre
@@ -218,7 +255,9 @@ func (s *shardSource) close() {
 		s.it.Close()
 		s.it = nil
 	}
-	s.tbl = nil
+	s.e, s.tbl, s.pinned, s.part, s.stale = nil, nil, nil, nil, nil
+	s.cur, s.curI, s.srcDone = nil, 0, false
+	sourcePool.Put(s)
 }
 
 // ---------------------------------------------------------------------------
@@ -367,12 +406,14 @@ var ErrBadPageToken = fmt.Errorf("shard: malformed page token")
 // stripe only while filling one batch, so concurrent writes interleave at
 // batch boundaries — rows inserted behind the scan position are missed,
 // rows ahead are observed, staged cross-shard moves are compensated per
-// batch from the then-current snapshot, and a row whose key is moved (or
-// migrated by a rebalance install) across the scan frontier mid-flight may
-// be missed or observed twice. A cursor opened with View.Scan is pinned to
-// the view's frozen snapshot: no move or install can interleave, and two
-// drains inside one View agree exactly (single-shard inserts and deletes
-// still land between batches — a View is move-stable, not write-stable).
+// batch from the then-current snapshot, and a row whose key is moved
+// across the scan frontier mid-flight may be missed or observed twice. A
+// rebalance install landing mid-scan reopens the cursor's sources under the
+// new bounds just past the last yielded row, as a page token would. A
+// cursor opened with View.Scan is pinned to the view's frozen snapshot: no
+// move or install can interleave, and two drains inside one View agree
+// exactly (single-shard inserts and deletes still land between batches — a
+// View is move-stable, not write-stable).
 type Cursor struct {
 	e      *Engine
 	pinned *routeSnap
@@ -391,6 +432,11 @@ type Cursor struct {
 	pk          int64
 	prow        []int32
 	havePending bool
+
+	// stale is raised by a source that reached a stale batch: a rebalance
+	// install changed the bounds the sources were opened under, and Next
+	// reopens them at (lastKey, dupN).
+	stale bool
 
 	done   bool
 	closed bool
@@ -462,10 +508,9 @@ func (c *Cursor) open(lo int64, skip int) {
 		batch = c.opts.Limit
 	}
 	for si := a; si <= b; si++ {
-		s := &shardSource{
-			e: c.e, si: si, hi: c.hi, cursor: lo,
-			pinned: c.pinned, batch: batch,
-		}
+		s := sourcePool.Get().(*shardSource)
+		s.e, s.si, s.hi, s.cursor = c.e, si, c.hi, lo
+		s.pinned, s.part, s.batch, s.stale = c.pinned, v.part, batch, &c.stale
 		s.start()
 		c.srcs = append(c.srcs, s)
 	}
@@ -477,6 +522,10 @@ func (c *Cursor) open(lo int64, skip int) {
 	c.lastKey, c.dupN = lo, 0
 	for c.dupN < skip {
 		k, r, ok := c.merge.next()
+		if c.stale {
+			c.reopen(lo, skip)
+			return
+		}
 		if !ok {
 			c.done = true
 			return
@@ -491,6 +540,15 @@ func (c *Cursor) open(lo int64, skip int) {
 	}
 }
 
+// reopen drops every source after a rebalance install changed the bounds
+// under them and reopens at (lo, skip) under the current bounds — the same
+// resumption a page token recording that position performs.
+func (c *Cursor) reopen(lo int64, skip int) {
+	c.closeSources()
+	c.stale = false
+	c.open(lo, skip)
+}
+
 // Next advances to the next row, reporting whether one is available.
 func (c *Cursor) Next() bool {
 	if c.done || c.err != nil {
@@ -503,11 +561,22 @@ func (c *Cursor) Next() bool {
 	var k int64
 	var r []int32
 	var ok bool
-	if c.havePending {
-		k, r, ok = c.pk, c.prow, true
-		c.havePending = false
-	} else {
-		k, r, ok = c.merge.next()
+	for {
+		if c.havePending {
+			k, r, ok = c.pk, c.prow, true
+			c.havePending = false
+		} else {
+			k, r, ok = c.merge.next()
+		}
+		if !c.stale {
+			break
+		}
+		// A source reached a rebalance install: whatever the merge pulled
+		// may be misattributed, so resume just past the last yielded row.
+		c.reopen(c.lastKey, c.dupN)
+		if c.done {
+			return false
+		}
 	}
 	if !ok {
 		c.done = true
@@ -589,6 +658,7 @@ func (c *Cursor) closeSources() {
 	for _, s := range c.srcs {
 		s.close()
 	}
+	clear(c.srcs)
 	c.srcs = c.srcs[:0]
 	c.merge = nil
 }

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -521,6 +522,137 @@ func TestScanMonitorAttribution(t *testing.T) {
 	}
 	if execute(t, e, workload.Op{Kind: workload.Q8Scan, Key: 0, Key2: 597}) != 200 {
 		t.Error("Execute(Q8Scan, no limit) did not drain the range")
+	}
+}
+
+// TestCursorAcrossRebalanceInstall pins exactly-once delivery for an
+// Engine cursor whose bounds change mid-scan: a rebalance install between
+// two Next calls moves rows to and from shards the cursor has already
+// scanned, so the cursor must reopen under the new bounds instead of
+// double-counting (bounds grown into scanned keys) or missing rows (bounds
+// shrunk behind the scan). The duplicate-run case reopens mid-run.
+func TestCursorAcrossRebalanceInstall(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		bounds []int64
+		dups   int // extra copies of key 50
+		read   int // rows consumed before the install
+	}{
+		{"grow shard 0", []int64{1500, 2000, 3000}, 0, 100},
+		{"shrink shard 0", []int64{500, 2000, 3000}, 0, 100},
+		{"before first row", []int64{500, 2000, 3000}, 0, 0},
+		{"mid duplicate run", []int64{1500, 2000, 3000}, 40, 70},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			keys := make([]int64, 4_000)
+			for i := range keys {
+				keys[i] = int64(i)
+			}
+			e, err := New(keys, rebalanceConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.RebalanceTo([]int64{1000, 2000, 3000}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tc.dups; i++ {
+				if err := e.Insert(50); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := append([]int64(nil), keys...)
+			for i := 0; i < tc.dups; i++ {
+				want = append(want, 50)
+			}
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+
+			c := e.Scan(0, 3_999, ScanOptions{Batch: 16})
+			var got []int64
+			for len(got) < tc.read && c.Next() {
+				got = append(got, c.Key())
+			}
+			if _, err := e.RebalanceTo(tc.bounds); err != nil {
+				t.Fatal(err)
+			}
+			rest, _ := drainCursor(t, c)
+			c.Close()
+			checkKeys(t, append(got, rest...), want)
+		})
+	}
+
+	// Installs racing the drains: with no writes, every drain must still
+	// yield each key exactly once, whichever fill or skip sees an install.
+	t.Run("concurrent installs", func(t *testing.T) {
+		keys := make([]int64, 4_000)
+		for i := range keys {
+			keys[i] = int64(i)
+		}
+		e, err := New(keys, rebalanceConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sets := [][]int64{{500, 2000, 3000}, {1500, 2500, 3500}}
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := e.RebalanceTo(sets[i%2]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		for i := 0; i < 10; i++ {
+			c := e.Scan(0, 3_999, ScanOptions{Batch: 16})
+			got, _ := drainCursor(t, c)
+			c.Close()
+			checkKeys(t, got, keys)
+		}
+		close(stop)
+		wg.Wait()
+	})
+}
+
+func checkKeys(t *testing.T, got, want []int64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("drain across installs yielded %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("row %d: key %d, want %d", i, got[i], want[i])
+		}
+	}
+}
+
+// TestScanOneFillPerShortSource pins the fill count of a short scan: a
+// source whose range fits in one batch is marked done by that batch, so an
+// unlimited ~200-row scan over 4 hash shards schedules exactly one fill per
+// shard on the fan-out pool, with no trailing empty fill.
+func TestScanOneFillPerShortSource(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // the pool is sized at construction
+	e, _ := streamTestEngine(t, 20_000, 4, false)
+	e.EnableObs()
+	fills := func() uint64 {
+		s := e.Obs().Snapshot()
+		return s.FanSubmits + s.FanInline
+	}
+	before := fills()
+	c := e.Scan(3_000, 3_600, ScanOptions{})
+	got, _ := drainCursor(t, c)
+	c.Close()
+	if len(got) != 201 {
+		t.Fatalf("scan yielded %d rows, want 201", len(got))
+	}
+	if n := fills() - before; n != 4 {
+		t.Errorf("scan scheduled %d fills, want 4 (one per shard)", n)
 	}
 }
 

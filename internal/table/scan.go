@@ -106,11 +106,21 @@ func (it *ScanIter) Close() {
 	scanIterPool.Put(it)
 }
 
+// Done reports whether the scan is exhausted: the next NextBatch would
+// return false. It turns true together with the batch that finishes the
+// scan, so a consumer can stop after its last non-empty batch instead of
+// paying one more (empty) NextBatch to learn the end.
+func (it *ScanIter) Done() bool { return it.t == nil || it.ci > it.cb }
+
 // NextBatch fills buf with the next batch of rows in ascending key order and
 // reports whether it produced any. Batches hold at most max rows (max <= 0
 // selects DefaultScanBatch) but are extended past max to finish a
 // duplicate-key run, so consecutive batches never share a key. A false
 // return means the scan is exhausted; buf is empty.
+//
+// A full batch stops only at the first key that does not fit, so a batch
+// that fills at a chunk's end looks ahead into the following chunks (whose
+// capture the next call reuses): Done is exact after every call.
 func (it *ScanIter) NextBatch(buf *RowBuf, max int) bool {
 	buf.Reset()
 	if it.t == nil {
@@ -119,7 +129,7 @@ func (it *ScanIter) NextBatch(buf *RowBuf, max int) bool {
 	if max <= 0 {
 		max = DefaultScanBatch
 	}
-	for it.ci <= it.cb && len(buf.Keys) < max {
+	for it.ci <= it.cb {
 		ck := it.t.chunks[it.ci]
 		ck.mu.RLock()
 		if !it.loaded || ck.ver != it.ver {

@@ -181,6 +181,45 @@ func TestScanExtremeKeys(t *testing.T) {
 	}
 }
 
+// TestScanIterDoneWithLastBatch pins Done: it turns true together with the
+// last non-empty batch, never earlier, including when a batch fills exactly
+// at a chunk's end and the chunk after it holds nothing in range.
+func TestScanIterDoneWithLastBatch(t *testing.T) {
+	for _, mode := range Modes() {
+		tb := buildTable(t, mode, 3000)
+		for i := 0; i < 30; i++ {
+			tb.Insert(int64(1000 + i%5))
+		}
+		// Chunk 1 overlaps [MinInt64, lower1] but, with lower1 deleted, holds
+		// no row in it: a batch of exactly chunk 0's rows must finish the scan.
+		lower1 := tb.chunkLower[1]
+		for tb.Delete(lower1) == nil {
+		}
+		n0 := len(tb.KeysInRange(math.MinInt64, lower1))
+		for _, batch := range []int{1, 7, 64, n0, 0} {
+			for _, rng := range [][2]int64{
+				{0, 30_000}, {500, 1500}, {math.MinInt64, math.MaxInt64},
+				{math.MinInt64, lower1}, {29_999, 29_000},
+			} {
+				it := tb.ScanRange(rng[0], rng[1])
+				buf := &RowBuf{}
+				batches, done := 0, false
+				for it.NextBatch(buf, batch) {
+					if done {
+						t.Fatalf("%v batch=%d range=%v: batch %d after Done", mode, batch, rng, batches)
+					}
+					batches++
+					done = it.Done()
+				}
+				it.Close()
+				if batches > 0 && !done {
+					t.Fatalf("%v batch=%d range=%v: Done false after the last of %d batches", mode, batch, rng, batches)
+				}
+			}
+		}
+	}
+}
+
 // TestScanBufferReuse checks NextBatch reuses the caller's buffer: after a
 // warmup batch, refills at the same width must not grow the arena.
 func TestScanBufferReuse(t *testing.T) {

@@ -150,10 +150,9 @@ func (m *payloadMover) Swap(a, b int) {
 
 func (m *payloadMover) Grow(n int) {
 	for i, c := range m.cols {
-		for len(c) < n {
-			c = append(c, 0)
+		if len(c) < n {
+			m.cols[i] = append(c, make([]int32, n-len(c))...)
 		}
-		m.cols[i] = c
 	}
 }
 
